@@ -33,7 +33,9 @@ use std::process::exit;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use mcc_bench::timing::{measure, measure_cpu_block, measure_detailed, thread_cpu_secs};
-use mcc_core::{AnyEngine, DirectorySim, DirectorySimConfig, Engine, EngineKind, Protocol};
+use mcc_core::{
+    AnyEngine, DirectorySim, DirectorySimConfig, Engine, EngineKind, Protocol, RunSpec, SimResult,
+};
 use mcc_obs::{shared, Json, NullSink, Telemetry, TelemetrySink, DEFAULT_PUBLISH_EVERY};
 use mcc_placement::PagePlacement;
 use mcc_trace::Trace;
@@ -44,7 +46,7 @@ use mcc_workloads::{
 const BIN: &str = "bench";
 
 /// Shard counts benchmarked per configuration (1 = the sequential
-/// `run` path; higher counts go through `run_sharded`).
+/// engine loop; higher counts go through the sharded executor).
 const SHARD_COUNTS: [usize; 3] = [1, 4, 8];
 
 /// Thread-CPU seconds accumulated per gate-basis measurement block.
@@ -197,7 +199,7 @@ impl Row {
 /// Single-shard cells time the engine step loop alone, with page
 /// placement resolved once up front — that is the engine-vs-engine
 /// number the tentpole claims. Sharded cells time the whole fork/join
-/// path (`run_sharded`: partitioning, per-shard placement resolution,
+/// path (`DirectorySim::execute`: placement resolution, shard threads,
 /// merging), which is what a parallel caller actually pays.
 fn run_cell(
     workload: &'static str,
@@ -235,15 +237,15 @@ fn run_cell(
     } else {
         let reference = DirectorySim::new(protocol, &config).with_engine(EngineKind::Reference);
         let fast = DirectorySim::new(protocol, &config).with_engine(EngineKind::Fast);
-        let want = reference.run_sharded(trace, shards);
-        let got = fast.run_sharded(trace, shards);
+        let want = run_sharded(&reference, trace, shards);
+        let got = run_sharded(&fast, trace, shards);
         assert_eq!(
             want, got,
             "{workload}/{protocol}/K={shards}: fast engine diverged; refusing to time a wrong engine"
         );
         (
-            measure(args.samples, || reference.run_sharded(trace, shards)),
-            measure_detailed(args.samples, || fast.run_sharded(trace, shards)),
+            measure(args.samples, || run_sharded(&reference, trace, shards)),
+            measure_detailed(args.samples, || run_sharded(&fast, trace, shards)),
             // Sharded cells burn their CPU on worker threads, which
             // the calling thread's accounting can't see — their gate
             // basis stays min wall time.
@@ -387,7 +389,7 @@ fn remeasure_gate_rps(row: &Row, trace: &Trace, args: &Args) -> u64 {
         rps(gate_cpu_secs(run).unwrap_or_else(|| measure_detailed(args.samples, run).wall_min))
     } else {
         let fast = DirectorySim::new(row.protocol, &config).with_engine(EngineKind::Fast);
-        rps(measure_detailed(args.samples, || fast.run_sharded(trace, row.shards)).wall_min)
+        rps(measure_detailed(args.samples, || run_sharded(&fast, trace, row.shards)).wall_min)
     }
 }
 
@@ -802,4 +804,16 @@ fn parse_args() -> Args {
         }
     }
     args
+}
+
+/// A `shards`-way run through the executor, panicking on failure like
+/// [`DirectorySim::run`].
+fn run_sharded(sim: &DirectorySim, trace: &Trace, shards: usize) -> SimResult {
+    let spec = RunSpec {
+        shards,
+        ..RunSpec::default()
+    };
+    sim.execute(trace, &spec)
+        .and_then(|report| report.merged())
+        .unwrap_or_else(|e| panic!("{e}"))
 }

@@ -259,8 +259,14 @@ fn render(cx: &Counterexample, args: &Args) {
         ..mcc_core::DirectorySimConfig::default()
     };
     let (recorder, handle) = shared(FlightRecorder::new(DEFAULT_RING));
-    let outcome =
-        mcc_core::DirectorySim::new(cx.protocol, &config).try_run_with_sink(&cx.trace, handle);
+    let spec = mcc_core::RunSpec {
+        sinks: Some(std::slice::from_ref(&handle)),
+        monitor: true,
+        ..mcc_core::RunSpec::default()
+    };
+    let outcome = mcc_core::DirectorySim::new(cx.protocol, &config)
+        .execute(&cx.trace, &spec)
+        .and_then(|report| report.merged());
     if let Err(e) = outcome {
         eprintln!("{BIN}: engine replay itself failed: {e}");
     }

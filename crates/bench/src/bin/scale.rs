@@ -25,7 +25,7 @@ use std::time::Instant;
 
 use mcc_check::{parse_directory_repr, parse_protocol};
 use mcc_core::{
-    DirectoryRepr, DirectorySim, DirectorySimConfig, EngineKind, PlacementPolicy, Protocol,
+    DirectoryRepr, DirectorySim, DirectorySimConfig, EngineKind, PlacementPolicy, Protocol, RunSpec,
 };
 use mcc_obs::Json;
 use mcc_trace::{Addr, MemRef, NodeId, TraceStream};
@@ -275,14 +275,20 @@ fn main() {
     // --- Gate 2: kill-and-resume through a re-created stream. ---
     let cut = args.prefix / 2;
     let ckpt = gate_sim
-        .stream_checkpoint_after(&prefix, args.shards, cut)
+        .checkpoint_after(&prefix, args.shards, cut)
         .unwrap_or_else(|e| {
             eprintln!("{BIN}: checkpoint at {cut} failed: {e}");
             exit(1);
         });
     let reopened = TraceStream::from_generator(args.prefix, move |i| scale_record(i, nodes));
+    let resume = RunSpec {
+        shards: args.shards,
+        resume: Some(&ckpt),
+        ..RunSpec::default()
+    };
     let resumed = gate_sim
-        .resume_stream_from(&reopened, &ckpt, None)
+        .execute(&reopened, &resume)
+        .and_then(|report| report.merged())
         .unwrap_or_else(|e| {
             eprintln!("{BIN}: resume from {cut} failed: {e}");
             exit(1);

@@ -9,11 +9,13 @@
 //!
 //! Wall-clock speedup depends on the host: with four or more free cores
 //! the 4-shard run is expected to land at 2× or better over sequential;
-//! on a saturated or single-core machine the ratios compress toward 1
-//! (the partition-and-merge overhead is a few percent).
+//! on a saturated or single-core machine the ratios compress toward 1.
+//! A sharded run pays one pass to split the trace into per-shard copies
+//! and one thread per shard; the K=1 row pays neither, since a 1-shard
+//! run replays the caller's trace on the calling thread.
 
 use mcc_bench::{timing::measure, Scenario};
-use mcc_core::{DirectorySim, DirectorySimConfig, Protocol};
+use mcc_core::{DirectorySim, DirectorySimConfig, Protocol, RunSpec, SimResult};
 use mcc_stats::{speedup, BarChart, Table};
 use mcc_trace::Trace;
 use mcc_workloads::{interleave_streams, GenCtx, MigratoryObjects, Region};
@@ -67,12 +69,12 @@ fn main() {
     let mut chart = BarChart::new("speedup vs sequential", 40);
     chart.bar("seq", 1.0);
     for shards in SHARD_COUNTS {
-        let result = sim.run_sharded(&trace, shards);
+        let result = run_sharded(&sim, &trace, shards);
         assert_eq!(
             result, sequential,
             "sharded result diverged at K={shards}: refusing to time a wrong engine"
         );
-        let seconds = measure(SAMPLES, || sim.run_sharded(&trace, shards));
+        let seconds = measure(SAMPLES, || run_sharded(&sim, &trace, shards));
         let s = speedup(base_seconds, seconds);
         table.row([
             shards.to_string(),
@@ -88,4 +90,16 @@ fn main() {
     }
     println!("{table}");
     println!("{chart}");
+}
+
+/// A `shards`-way run through the executor, panicking on failure like
+/// [`DirectorySim::run`].
+fn run_sharded(sim: &DirectorySim, trace: &Trace, shards: usize) -> SimResult {
+    let spec = RunSpec {
+        shards,
+        ..RunSpec::default()
+    };
+    sim.execute(trace, &spec)
+        .and_then(|report| report.merged())
+        .unwrap_or_else(|e| panic!("{e}"))
 }

@@ -10,12 +10,16 @@
 //!
 //! Scenarios:
 //!
-//! * **sequential** — a checkpointed single-process simulation
-//!   ([`DirectorySim::run_resumable_on`]) over a migratory trace. A
-//!   machine-scope kill collapses every file to its durable image; the
-//!   restart loads the snapshot with last-good `.prev` fallback (or
-//!   reruns fresh when the cut predates the first publish) and must
-//!   reproduce the uninterrupted [`SimResult`] exactly.
+//! * **sequential** — a checkpointed single-shard simulation
+//!   ([`DirectorySim::execute`] with a [`CheckpointPolicy`]) over a
+//!   materialized migratory trace. A machine-scope kill collapses every
+//!   file to its durable image; the restart loads the snapshot with
+//!   last-good `.prev` fallback (or reruns fresh when the cut predates
+//!   the first publish) and must reproduce the uninterrupted
+//!   [`SimResult`] exactly.
+//! * **stream** — the same migratory pattern as a generator stream, run
+//!   on two shards by [`DirectorySim::run_stream_resumable_on`]; the
+//!   kill, recovery and bit-exact check are the sequential scenario's.
 //! * **live** — the live service with a durable per-shard WAL
 //!   ([`WalConfig::with_storage`]). A file-scope kill crashes the one
 //!   shard whose I/O hit the kill-point; its replacement incarnation
@@ -36,10 +40,10 @@ use std::time::Instant;
 use mcc_core::storage::KILLED_MARKER;
 use mcc_core::{
     ChaosStorage, Checkpoint, CheckpointError, CheckpointPolicy, DirectorySim, DirectorySimConfig,
-    KillScope, Protocol, SimError, SnapshotGeneration, StorageFaultPlan,
+    KillScope, Protocol, RunSpec, SimError, SimResult, SnapshotGeneration, StorageFaultPlan,
 };
 use mcc_live::{run_live, LiveConfig, WalConfig, WalStats};
-use mcc_trace::{Addr, MemRef, NodeId, Trace};
+use mcc_trace::{Addr, MemRef, NodeId, Trace, TraceStream};
 
 const BIN: &str = "torture";
 
@@ -54,8 +58,9 @@ struct Args {
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Scenario {
     Sequential,
+    Stream,
     Live,
-    Both,
+    All,
 }
 
 /// One scenario's sweep results, rendered into the JSON report.
@@ -111,10 +116,13 @@ impl SweepReport {
 fn main() {
     let args = parse_args();
     let mut reports = Vec::new();
-    if matches!(args.scenario, Scenario::Sequential | Scenario::Both) {
+    if matches!(args.scenario, Scenario::Sequential | Scenario::All) {
         reports.push(sequential_sweep(&args));
     }
-    if matches!(args.scenario, Scenario::Live | Scenario::Both) {
+    if matches!(args.scenario, Scenario::Stream | Scenario::All) {
+        reports.push(stream_sweep(&args));
+    }
+    if matches!(args.scenario, Scenario::Live | Scenario::All) {
         reports.push(live_sweep(&args));
     }
 
@@ -142,21 +150,26 @@ fn main() {
     exit(i32::from(!ok));
 }
 
-/// A migratory sharing trace: blocks handed read-then-write from node
-/// to node — the access pattern the paper's adaptive protocols exist
-/// for, and the one that exercises every [`StepKind`] the checkpoint
+/// Record `i` of a migratory sharing pattern: blocks handed
+/// read-then-write from node to node, round after round — the access
+/// pattern the paper's adaptive protocols exist for, and the one that
+/// exercises every [`StepKind`](mcc_core::StepKind) the checkpoint
 /// encodes.
-fn migratory_trace(nodes: u16, blocks: u64, rounds: u64) -> Trace {
-    let mut trace = Trace::new();
-    for round in 0..rounds {
-        for block in 0..blocks {
-            let node = NodeId::new(((round + block) % u64::from(nodes)) as u16);
-            trace.push(MemRef::read(node, Addr::new(block * 64)));
-            trace.push(MemRef::write(node, Addr::new(block * 64)));
-        }
+fn migratory_record(i: u64, nodes: u16, blocks: u64) -> MemRef {
+    let (round, slot) = (i / (2 * blocks), i % (2 * blocks));
+    let block = slot / 2;
+    let node = NodeId::new(((round + block) % u64::from(nodes)) as u16);
+    let addr = Addr::new(block * 64);
+    if slot % 2 == 0 {
+        MemRef::read(node, addr)
+    } else {
+        MemRef::write(node, addr)
     }
-    trace
 }
+
+const NODES: u16 = 8;
+const BLOCKS: u64 = 24;
+const RECORDS: u64 = 2 * BLOCKS * 64;
 
 /// Whether a simulation error is the kill-point firing (possibly
 /// wrapped in a `BadCheckpoint` reason by the snapshot ledger).
@@ -165,28 +178,75 @@ fn sim_error_is_kill(e: &SimError) -> bool {
 }
 
 fn sequential_sweep(args: &Args) -> SweepReport {
-    let started = Instant::now();
     let cfg = DirectorySimConfig {
-        nodes: 8,
+        nodes: NODES,
         ..DirectorySimConfig::default()
     };
     let sim = DirectorySim::new(Protocol::Aggressive, &cfg);
-    let trace = migratory_trace(8, 24, 64);
+    let trace: Trace = (0..RECORDS)
+        .map(|i| migratory_record(i, NODES, BLOCKS))
+        .collect();
     let ckpt_path = Path::new("torture/seq.ckpt");
     let policy = CheckpointPolicy::new(200, ckpt_path);
+    let run = |storage: &ChaosStorage, resume: Option<&Checkpoint>| {
+        let spec = RunSpec {
+            storage,
+            checkpoint: Some(&policy),
+            resume,
+            ..RunSpec::default()
+        };
+        sim.execute(&trace, &spec)?.merged()
+    };
+    checkpoint_sweep(args, "sequential", ckpt_path, run)
+}
 
+fn stream_sweep(args: &Args) -> SweepReport {
+    const SHARDS: usize = 2;
+    let cfg = DirectorySimConfig {
+        nodes: NODES,
+        ..DirectorySimConfig::default()
+    };
+    let sim = DirectorySim::new(Protocol::Aggressive, &cfg);
+    let ckpt_path = Path::new("torture/stream.ckpt");
+    let policy = CheckpointPolicy::new(200, ckpt_path);
+    // Every run opens the stream afresh, as a restarted process would.
+    let open = || TraceStream::from_generator(RECORDS, |i| migratory_record(i, NODES, BLOCKS));
+    let run = |storage: &ChaosStorage, resume: Option<&Checkpoint>| match resume {
+        None => sim.run_stream_resumable_on(&open(), SHARDS, &policy, storage),
+        Some(checkpoint) => {
+            let spec = RunSpec {
+                shards: SHARDS,
+                storage,
+                checkpoint: Some(&policy),
+                resume: Some(checkpoint),
+                ..RunSpec::default()
+            };
+            sim.execute(&open(), &spec)?.merged()
+        }
+    };
+    checkpoint_sweep(args, "stream", ckpt_path, run)
+}
+
+/// Sweeps a checkpointed run: `run(storage, None)` starts it fresh,
+/// `run(storage, Some(snapshot))` continues it from a recovered
+/// snapshot, both writing snapshots through `storage` to `ckpt_path`.
+fn checkpoint_sweep(
+    args: &Args,
+    name: &'static str,
+    ckpt_path: &Path,
+    run: impl Fn(&ChaosStorage, Option<&Checkpoint>) -> Result<SimResult, SimError>,
+) -> SweepReport {
+    let started = Instant::now();
     // Counting pass: fault-free, so this is also the reference result.
     let counter = ChaosStorage::new(StorageFaultPlan::reliable(args.seed));
-    let reference = sim
-        .run_resumable_on(&trace, 1, &policy, &counter)
-        .unwrap_or_else(|e| {
-            eprintln!("{BIN}: sequential counting pass failed: {e}");
-            exit(2);
-        });
+    let reference = run(&counter, None).unwrap_or_else(|e| {
+        eprintln!("{BIN}: {name} counting pass failed: {e}");
+        exit(2);
+    });
     let ops_total = counter.stats().ops;
 
     let mut report = SweepReport {
-        name: "sequential",
+        name,
         ops_total,
         swept: 0,
         stride: args.stride,
@@ -212,11 +272,10 @@ fn sequential_sweep(args: &Args) -> SweepReport {
             n,
             KillScope::Machine,
         ));
-        match sim.run_resumable_on(&trace, 1, &policy, &storage) {
+        match run(&storage, None) {
             Ok(result) if !storage.stats().killed => {
-                // The run finished under the kill threshold (can only
-                // happen when op counts drift; sequential is
-                // deterministic, so treat a drift as a finding).
+                // The run finished under the kill threshold (op counts
+                // are deterministic, so treat a drift as a finding).
                 if result == reference {
                     report.completed_before_kill += 1;
                 } else {
@@ -243,19 +302,17 @@ fn sequential_sweep(args: &Args) -> SweepReport {
         // Restart on the surviving durable state.
         let resumed = match Checkpoint::load_with_fallback_from(&storage, ckpt_path) {
             Ok(recovered) => {
-                let outcome =
-                    sim.resume_from_on(&trace, &recovered.checkpoint, Some(&policy), &storage);
                 match recovered.generation {
                     SnapshotGeneration::Current => report.recovered_current += 1,
                     SnapshotGeneration::Previous => report.recovered_prev += 1,
                 }
-                outcome
+                run(&storage, Some(&recovered.checkpoint))
             }
             Err(CheckpointError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
                 // The cut predates the first durable publish: rerunning
                 // from scratch is the correct (and reported) recovery.
                 report.fresh_rerun += 1;
-                sim.run_resumable_on(&trace, 1, &policy, &storage)
+                run(&storage, None)
             }
             Err(e) => {
                 report.unrecovered.push(format!(
@@ -389,7 +446,7 @@ fn live_sweep(args: &Args) -> SweepReport {
 }
 
 fn parse_args() -> Args {
-    let mut scenario = Scenario::Both;
+    let mut scenario = Scenario::All;
     let mut seed = 0xC0FF_EE00u64;
     let mut stride = 1u64;
     let mut max_kills = 0u64;
@@ -406,10 +463,11 @@ fn parse_args() -> Args {
             "--scenario" => {
                 scenario = match value("--scenario").as_str() {
                     "sequential" => Scenario::Sequential,
+                    "stream" => Scenario::Stream,
                     "live" => Scenario::Live,
-                    "both" => Scenario::Both,
+                    "all" => Scenario::All,
                     other => {
-                        eprintln!("{BIN}: unknown scenario {other:?} (sequential|live|both)");
+                        eprintln!("{BIN}: unknown scenario {other:?} (sequential|stream|live|all)");
                         exit(2);
                     }
                 }
@@ -427,9 +485,9 @@ fn parse_args() -> Args {
             "--help" | "-h" => {
                 println!(
                     "{BIN} — kill-at-every-I/O storage torture harness\n\n\
-                     Usage: {BIN} [--scenario sequential|live|both] [--seed N] \
+                     Usage: {BIN} [--scenario sequential|stream|live|all] [--seed N] \
                      [--stride N] [--max-kills N] [--out FILE]\n\
-                     \n  --scenario S    which scenario to sweep (default both)\
+                     \n  --scenario S    which scenario to sweep (default all)\
                      \n  --seed N        fault/crash draw seed (default 0xC0FFEE00)\
                      \n  --stride N      kill every Nth op index instead of every one\
                      \n  --max-kills N   stop each sweep after N kills (0 = unbounded)\

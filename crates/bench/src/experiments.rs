@@ -5,7 +5,7 @@ use std::path::{Path, PathBuf};
 use mcc_cache::{CacheConfig, CacheGeometry};
 use mcc_core::{
     Checkpoint, CheckpointPolicy, DirectorySim, DirectorySimConfig, FaultPlan, PlacementPolicy,
-    Protocol, SimError, SimResult, SnapshotGeneration,
+    Protocol, RunSpec, SimError, SimResult, SnapshotGeneration,
 };
 use mcc_stats::{thousands, Table};
 use mcc_trace::BlockSize;
@@ -63,7 +63,7 @@ pub struct RunOptions {
 }
 
 impl RunOptions {
-    /// Sequential, no snapshots — plain [`DirectorySim::try_run`].
+    /// Sequential, no snapshots — the plain [`DirectorySim::try_run`] run.
     pub fn sequential() -> Self {
         RunOptions::default()
     }
@@ -124,23 +124,28 @@ pub fn try_run_protocol_traced(
         degradation_notice(shards);
         shards = 1;
     }
-    if opts.obs.is_active() {
-        return crate::obs::run_observed(&sim, trace, shards, opts);
-    }
-    if let Some(path) = &opts.resume {
-        let (checkpoint, generation) = load_resume_checkpoint(path)?;
-        return sim
-            .resume_from(trace, &checkpoint, opts.checkpoint.as_ref())
-            .map(|r| (r, Some(generation)));
-    }
-    if let Some(policy) = &opts.checkpoint {
-        return sim.run_resumable(trace, shards, policy).map(|r| (r, None));
-    }
-    if shards > 1 {
-        sim.try_run_sharded(trace, shards).map(|r| (r, None))
+    let resumed = opts
+        .resume
+        .as_deref()
+        .map(load_resume_checkpoint)
+        .transpose()?;
+    let resume = resumed.as_ref().map(|(checkpoint, _)| checkpoint);
+    let spec = RunSpec {
+        // A resumed run replays the snapshot's own shard layout.
+        shards: resume.map_or(shards, Checkpoint::shard_count),
+        checkpoint: opts.checkpoint.as_ref(),
+        resume,
+        // Plain runs sweep the invariants as they go; checkpointed and
+        // resumed runs leave that to the engine's final sweep.
+        monitor: opts.checkpoint.is_none() && resume.is_none(),
+        ..RunSpec::default()
+    };
+    let result = if opts.obs.is_active() {
+        crate::obs::run_observed(&sim, trace, spec, &opts.obs)
     } else {
-        sim.try_run(trace).map(|r| (r, None))
-    }
+        sim.execute(trace, &spec).and_then(|report| report.merged())
+    }?;
+    Ok((result, resumed.map(|(_, generation)| generation)))
 }
 
 /// Loads a resume snapshot with last-good fallback: a primary that

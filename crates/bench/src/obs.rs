@@ -2,10 +2,10 @@
 //!
 //! When a binary asks for `--events-out`, `--metrics-out`, or
 //! `--events-ring`, the router takes this module's path instead of the
-//! plain one: it builds one sink per shard (sharded engines must never
-//! contend on a single sink), runs the simulation through the
-//! `*_with_sinks` entry points, merges the captured streams in shard
-//! index order, and writes the requested artifacts. On failure it
+//! plain one: it attaches one sink per shard to the run's
+//! [`RunSpec`] (sharded engines must never contend on a single sink),
+//! merges the captured streams in shard index order, and writes the
+//! requested artifacts. On failure it
 //! additionally renders the flight recorder — the last-K events plus
 //! the offending block's classification timeline — onto stderr, so a
 //! dead run leaves behind the "what was the protocol doing" context the
@@ -14,14 +14,12 @@
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use mcc_core::{DirectorySim, SimError, SimResult};
+use mcc_core::{DirectorySim, RunSpec, SimError, SimResult};
 use mcc_obs::{
     lock_sink, shared, BufferSink, Event, FlightRecorder, MetricsRecorder, RingSink, SharedSink,
     DEFAULT_INTERVAL, DEFAULT_RING,
 };
 use mcc_trace::Trace;
-
-use crate::experiments::RunOptions;
 
 /// Observability outputs requested for a run. All fields default to
 /// "off"; the router only takes the instrumented path when
@@ -108,39 +106,22 @@ impl Capture {
     }
 }
 
-/// The instrumented router path: mirrors `try_run_protocol`'s
-/// resume/checkpoint/sharded/sequential routing but runs every leg
-/// through the `*_with_sinks` entry points, then writes the requested
-/// artifacts and renders the flight recorder if the run died.
+/// The instrumented router path: runs `spec` with one capture sink per
+/// shard, then writes the requested artifacts and renders the flight
+/// recorder if the run died.
 pub(crate) fn run_observed(
     sim: &DirectorySim,
     trace: &Trace,
-    shards: usize,
-    opts: &RunOptions,
-) -> Result<(SimResult, Option<mcc_core::SnapshotGeneration>), SimError> {
-    let obs = &opts.obs;
-    if let Some(path) = &opts.resume {
-        let (checkpoint, generation) = crate::experiments::load_resume_checkpoint(path)?;
-        // A resumed run replays the snapshot's own shard layout, so the
-        // sink count must match the snapshot, not the --shards flag.
-        let capture = Capture::new(obs, checkpoint.shard_count());
-        let outcome = sim.resume_from_with_sinks(
-            trace,
-            &checkpoint,
-            opts.checkpoint.as_ref(),
-            &capture.handles,
-        );
-        return finish(obs, &capture, outcome).map(|r| (r, Some(generation)));
-    }
-    let capture = Capture::new(obs, shards);
-    let outcome = if let Some(policy) = &opts.checkpoint {
-        sim.run_resumable_with_sinks(trace, shards, policy, &capture.handles)
-    } else if shards > 1 {
-        sim.try_run_sharded_with_sinks(trace, shards, &capture.handles)
-    } else {
-        sim.try_run_with_sink(trace, capture.handles[0].clone())
+    spec: RunSpec<'_>,
+    obs: &ObsOptions,
+) -> Result<SimResult, SimError> {
+    let capture = Capture::new(obs, spec.shards);
+    let spec = RunSpec {
+        sinks: Some(&capture.handles),
+        ..spec
     };
-    finish(obs, &capture, outcome).map(|r| (r, None))
+    let outcome = sim.execute(trace, &spec).and_then(|report| report.merged());
+    finish(obs, &capture, outcome)
 }
 
 /// Writes the requested artifacts from the captured stream (on success

@@ -22,9 +22,11 @@
 //! * [`charge`] / [`charge_eviction`] — the Table 1 / §3.3 inter-node
 //!   message cost model;
 //! * [`DirectorySim`] / [`DirectoryEngine`] — the trace-driven CC-NUMA
-//!   memory-system simulator with a built-in coherence checker, plus an
-//!   address-sharded parallel path ([`DirectorySim::run_sharded`]) that
-//!   reproduces the sequential result bit-exactly.
+//!   memory-system simulator with a built-in coherence checker;
+//! * [`DirectorySim::execute`] / [`RunSpec`] — the one run pipeline:
+//!   materialized or streamed sources, address-sharded parallel runs that
+//!   reproduce the sequential result bit-exactly, per-shard observability
+//!   sinks, crash-safe [`Checkpoint`]s, panic containment and deadlines.
 //!
 //! # Examples
 //!
@@ -66,14 +68,13 @@ mod oracle;
 mod policy;
 mod repr;
 mod result;
+mod run;
 mod sim;
-mod sim_parallel;
 pub mod storage;
-mod stream_run;
 
 pub use checkpoint::{
-    Checkpoint, CheckpointError, CheckpointPolicy, EngineSnapshot, RecoveredCheckpoint,
-    ShardSnapshot, SnapshotGeneration,
+    stream_fingerprint, Checkpoint, CheckpointError, CheckpointPolicy, EngineSnapshot,
+    RecoveredCheckpoint, ShardSnapshot, SnapshotGeneration,
 };
 pub use directory::{CopiesCreated, CopySet, DirEntry, ReadMissAction, Reclassification};
 pub use engine::{AnyEngine, Engine, EngineKind};
@@ -90,16 +91,13 @@ pub use oracle::migrate_hints;
 pub use policy::{AdaptivePolicy, Protocol};
 pub use repr::DirectoryRepr;
 pub use result::{EventCounts, MessageBreakdown, SimResult};
+#[doc(hidden)]
+pub use run::test_hooks as supervision_test_hooks;
+pub use run::{RunSource, RunSpec, ShardedReport};
 pub use sim::{
     DirectoryEngine, DirectorySim, DirectorySimConfig, LineState, PlacementPolicy, StepInfo,
     StepKind,
 };
-#[doc(hidden)]
-pub use sim_parallel::test_hooks as supervision_test_hooks;
-pub use sim_parallel::ShardedReport;
 pub use storage::{
     ChaosStorage, ChaosStorageStats, KillScope, RealStorage, Storage, StorageFaultPlan,
-};
-pub use stream_run::{
-    stream_fingerprint, StreamCheckpoint, StreamShardSnapshot, STREAM_CHECKPOINT_MAGIC,
 };

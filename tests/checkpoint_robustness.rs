@@ -1,4 +1,5 @@
-//! Corrupt-input robustness for the MCCK/MCCX checkpoint formats.
+//! Corrupt-input robustness for the MCCK/MCCX checkpoint formats, over
+//! checkpoints of materialized and of streamed runs.
 //!
 //! Checkpoints are read back by a process that just crashed — possibly
 //! *because* the machine is failing — so the reader must treat the file
@@ -8,12 +9,13 @@
 //! that parses but belongs to a different run is rejected with a typed
 //! [`SimError::BadCheckpoint`] before any state is rebuilt from it.
 
-use mcc::core::checkpoint::CHECKPOINT_MAGIC;
+use mcc::core::checkpoint::{fnv1a_64, trace_fingerprint, CHECKPOINT_MAGIC};
 use mcc::core::{
-    Checkpoint, CheckpointError, DirectorySim, DirectorySimConfig, FaultPlan, Protocol, SimError,
+    stream_fingerprint, Checkpoint, CheckpointError, DirectorySim, DirectorySimConfig, FaultPlan,
+    Protocol, RunSpec, SimError, SimResult,
 };
 use mcc::execsim::{ExecCheckpoint, ExecSim, ExecSimConfig};
-use mcc::trace::{Addr, MemRef, NodeId, Trace};
+use mcc::trace::{Addr, MemRef, NodeId, Trace, TraceStream};
 use mcc_prng::SplitMix64;
 
 fn sample_trace(nodes: u16) -> Trace {
@@ -28,30 +30,63 @@ fn sample_trace(nodes: u16) -> Trace {
     t
 }
 
-/// A representative mid-run checkpoint, serialized.
-fn sample_bytes() -> Vec<u8> {
-    let trace = sample_trace(4);
+fn sample_sim() -> DirectorySim {
     let cfg = DirectorySimConfig {
         nodes: 4,
         ..DirectorySimConfig::default()
     };
-    let ck = DirectorySim::new(Protocol::Aggressive, &cfg)
-        .with_faults(FaultPlan::uniform(7, 30_000))
-        .checkpoint_after(&trace, 2, 20)
-        .expect("prefix replays cleanly");
+    DirectorySim::new(Protocol::Aggressive, &cfg).with_faults(FaultPlan::uniform(7, 30_000))
+}
+
+/// The sample trace as a generator stream.
+fn sample_stream() -> TraceStream {
+    let records: Vec<MemRef> = sample_trace(4).iter().copied().collect();
+    TraceStream::from_generator(records.len() as u64, move |i| records[i as usize])
+}
+
+/// A representative mid-run checkpoint of a sharded materialized run,
+/// serialized.
+fn sample_bytes() -> Vec<u8> {
+    checkpoint_bytes(sample_sim().checkpoint_after(&sample_trace(4), 2, 20))
+}
+
+/// The same cut of the same sharded run, driven by a stream.
+fn stream_sample_bytes() -> Vec<u8> {
+    checkpoint_bytes(sample_sim().checkpoint_after(&sample_stream(), 2, 20))
+}
+
+fn checkpoint_bytes(ck: Result<Checkpoint, SimError>) -> Vec<u8> {
     let mut bytes = Vec::new();
-    ck.write_to(&mut bytes).expect("vec write");
+    ck.expect("prefix replays cleanly")
+        .write_to(&mut bytes)
+        .expect("vec write");
     bytes
+}
+
+/// Both samples, labelled for assertion messages.
+fn samples() -> [(&'static str, Vec<u8>); 2] {
+    [
+        ("materialized", sample_bytes()),
+        ("streamed", stream_sample_bytes()),
+    ]
+}
+
+/// Re-seals an edited payload under a fresh checksum, so the decoder
+/// itself — not the checksum — has to catch what was planted in it.
+fn reseal(bytes: &mut [u8]) {
+    let sum = fnv1a_64(&bytes[24..]);
+    bytes[16..24].copy_from_slice(&sum.to_le_bytes());
 }
 
 #[test]
 fn every_truncation_is_a_typed_error() {
-    let bytes = sample_bytes();
-    assert!(bytes.len() > 24, "sample must be non-trivial");
-    for len in 0..bytes.len() {
-        match Checkpoint::read_from(&mut &bytes[..len]) {
-            Err(_) => {}
-            Ok(_) => panic!("truncation to {len} bytes parsed as a whole checkpoint"),
+    for (kind, bytes) in samples() {
+        assert!(bytes.len() > 24, "{kind} sample must be non-trivial");
+        for len in 0..bytes.len() {
+            match Checkpoint::read_from(&mut &bytes[..len]) {
+                Err(_) => {}
+                Ok(_) => panic!("{kind}: truncation to {len} bytes parsed as a whole checkpoint"),
+            }
         }
     }
 }
@@ -61,20 +96,21 @@ fn every_single_bit_flip_is_rejected() {
     // Unlike a trace, a checkpoint carries a whole-payload checksum, so
     // corruption anywhere — header, length, checksum, payload — must be
     // *detected*, not merely decoded differently.
-    let bytes = sample_bytes();
-    let mut rng = SplitMix64::new(0xC0FFEE);
-    let mut positions: Vec<usize> = (0..32.min(bytes.len())).collect();
-    for _ in 0..256 {
-        positions.push(rng.gen_range(0..bytes.len() as u64) as usize);
-    }
-    for pos in positions {
-        for bit in 0..8 {
-            let mut corrupt = bytes.clone();
-            corrupt[pos] ^= 1 << bit;
-            assert!(
-                Checkpoint::read_from(&mut &corrupt[..]).is_err(),
-                "flipping bit {bit} of byte {pos} was silently absorbed"
-            );
+    for (kind, bytes) in samples() {
+        let mut rng = SplitMix64::new(0xC0FFEE);
+        let mut positions: Vec<usize> = (0..32.min(bytes.len())).collect();
+        for _ in 0..256 {
+            positions.push(rng.gen_range(0..bytes.len() as u64) as usize);
+        }
+        for pos in positions {
+            for bit in 0..8 {
+                let mut corrupt = bytes.clone();
+                corrupt[pos] ^= 1 << bit;
+                assert!(
+                    Checkpoint::read_from(&mut &corrupt[..]).is_err(),
+                    "{kind}: flipping bit {bit} of byte {pos} was silently absorbed"
+                );
+            }
         }
     }
 }
@@ -144,6 +180,50 @@ fn hostile_counts_inside_the_payload_do_not_allocate() {
     bytes.extend_from_slice(&[0u8; 64]); // far less than promised
     let err = Checkpoint::read_from(&mut &bytes[..]).unwrap_err();
     assert!(matches!(err, CheckpointError::Truncated), "got {err}");
+
+    // A hostile shard count behind an intact checksum: the count sits
+    // right after the source length and identity.
+    let samples = [
+        (sample_bytes(), trace_fingerprint(&sample_trace(4))),
+        (
+            stream_sample_bytes(),
+            stream_fingerprint(&sample_stream()).expect("probe"),
+        ),
+    ];
+    for (bytes, identity) in samples {
+        let ck = Checkpoint::read_from(&mut &bytes[..]).expect("sample reads back");
+        let mut needle = ck.total_records().to_le_bytes().to_vec();
+        needle.extend_from_slice(&identity.to_le_bytes());
+        needle.extend_from_slice(&(ck.shard_count() as u32).to_le_bytes());
+        let at = bytes
+            .windows(needle.len())
+            .position(|w| w == needle)
+            .expect("the shard count follows the identity")
+            + 16;
+        let mut hostile = bytes.clone();
+        hostile[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        reseal(&mut hostile);
+        let err = Checkpoint::read_from(&mut &hostile[..]).unwrap_err();
+        assert!(matches!(err, CheckpointError::Truncated), "got {err}");
+    }
+}
+
+#[test]
+fn old_formats_are_rejected_with_typed_errors() {
+    // Version 2 of MCCK (per-shard sub-trace cursors) and the retired
+    // MCCS stream format both predate the one absolute-cursor format.
+    let bytes = sample_bytes();
+    let mut v2 = bytes.clone();
+    v2[4] = 2;
+    let err = Checkpoint::read_from(&mut &v2[..]).unwrap_err();
+    assert!(
+        matches!(err, CheckpointError::UnsupportedVersion(2)),
+        "got {err}"
+    );
+    let mut mccs = bytes;
+    mccs[..8].copy_from_slice(b"MCCS\x01\0\0\0");
+    let err = Checkpoint::read_from(&mut &mccs[..]).unwrap_err();
+    assert!(matches!(err, CheckpointError::BadMagic), "got {err}");
 }
 
 #[test]
@@ -158,6 +238,16 @@ fn loading_a_missing_file_is_an_io_error() {
     assert!(matches!(err, CheckpointError::Io(_)), "got {err}");
 }
 
+/// Continues `ck` over `trace`.
+fn resume(sim: &DirectorySim, trace: &Trace, ck: &Checkpoint) -> Result<SimResult, SimError> {
+    let spec = RunSpec {
+        shards: ck.shard_count(),
+        resume: Some(ck),
+        ..RunSpec::default()
+    };
+    sim.execute(trace, &spec)?.merged()
+}
+
 #[test]
 fn mismatched_checkpoints_are_rejected_before_any_replay() {
     let trace = sample_trace(4);
@@ -170,18 +260,18 @@ fn mismatched_checkpoints_are_rejected_before_any_replay() {
 
     // Different protocol.
     let other = DirectorySim::new(Protocol::Conventional, &cfg);
-    let err = other.resume_from(&trace, &ck, None).unwrap_err();
+    let err = resume(&other, &trace, &ck).unwrap_err();
     assert!(matches!(err, SimError::BadCheckpoint { .. }), "{err}");
 
     // Different trace (the fingerprint in the snapshot disagrees).
     let mut reordered = sample_trace(4);
     reordered.push(MemRef::read(NodeId::new(0), Addr::new(0x9999)));
-    let err = sim.resume_from(&reordered, &ck, None).unwrap_err();
+    let err = resume(&sim, &reordered, &ck).unwrap_err();
     assert!(matches!(err, SimError::BadCheckpoint { .. }), "{err}");
 
     // Different fault plan (reliable vs faulted).
     let faulted = DirectorySim::new(Protocol::Basic, &cfg).with_faults(FaultPlan::uniform(1, 1000));
-    let err = faulted.resume_from(&trace, &ck, None).unwrap_err();
+    let err = resume(&faulted, &trace, &ck).unwrap_err();
     assert!(matches!(err, SimError::BadCheckpoint { .. }), "{err}");
 }
 
@@ -196,58 +286,58 @@ fn every_corruption_of_the_primary_falls_back_to_the_previous_generation() {
     use mcc::core::{ChaosStorage, SnapshotGeneration, Storage, StorageFaultPlan};
     use std::path::Path;
 
-    let newest = sample_bytes();
     // The rotated previous generation: an earlier snapshot of the same
     // run (fewer records covered), byte-exactly distinguishable.
-    let trace = sample_trace(4);
-    let cfg = DirectorySimConfig {
-        nodes: 4,
-        ..DirectorySimConfig::default()
-    };
-    let mut prev_bytes = Vec::new();
-    DirectorySim::new(Protocol::Aggressive, &cfg)
-        .with_faults(FaultPlan::uniform(7, 30_000))
-        .checkpoint_after(&trace, 2, 10)
-        .expect("prefix replays cleanly")
-        .write_to(&mut prev_bytes)
-        .expect("vec write");
-    assert_ne!(prev_bytes, newest);
-
+    let pairs = [
+        (
+            "materialized",
+            sample_bytes(),
+            checkpoint_bytes(sample_sim().checkpoint_after(&sample_trace(4), 2, 10)),
+        ),
+        (
+            "streamed",
+            stream_sample_bytes(),
+            checkpoint_bytes(sample_sim().checkpoint_after(&sample_stream(), 2, 10)),
+        ),
+    ];
     let path = Path::new("run.ckpt");
     let prev_p = prev_path(path);
+    for (kind, newest, prev_bytes) in pairs {
+        assert_ne!(prev_bytes, newest);
+        let mut corruptions: Vec<Vec<u8>> =
+            (0..newest.len()).map(|n| newest[..n].to_vec()).collect();
+        let mut rng = SplitMix64::new(0xFA11BACC);
+        for _ in 0..128 {
+            let pos = rng.gen_range(0..newest.len() as u64) as usize;
+            let bit = rng.gen_range(0..8);
+            let mut corrupt = newest.clone();
+            corrupt[pos] ^= 1 << bit;
+            corruptions.push(corrupt);
+        }
 
-    let mut corruptions: Vec<Vec<u8>> = (0..newest.len()).map(|n| newest[..n].to_vec()).collect();
-    let mut rng = SplitMix64::new(0xFA11BACC);
-    for _ in 0..128 {
-        let pos = rng.gen_range(0..newest.len() as u64) as usize;
-        let bit = rng.gen_range(0..8);
-        let mut corrupt = newest.clone();
-        corrupt[pos] ^= 1 << bit;
-        corruptions.push(corrupt);
-    }
-
-    for (i, corrupt) in corruptions.iter().enumerate() {
-        let fs = ChaosStorage::new(StorageFaultPlan::reliable(1));
-        fs.write_file(path, corrupt).unwrap();
-        fs.write_file(&prev_p, &prev_bytes).unwrap();
-        let recovered = Checkpoint::load_with_fallback_from(&fs, path)
-            .unwrap_or_else(|e| panic!("corruption {i}: fallback loader failed: {e}"));
-        assert_eq!(
-            recovered.generation,
-            SnapshotGeneration::Previous,
-            "corruption {i} did not fall back"
-        );
-        let primary_error = recovered
-            .primary_error
-            .as_ref()
-            .unwrap_or_else(|| panic!("corruption {i}: no primary error recorded"));
-        assert!(!primary_error.class().is_empty());
-        let mut round_trip = Vec::new();
-        recovered.checkpoint.write_to(&mut round_trip).unwrap();
-        assert_eq!(
-            round_trip, prev_bytes,
-            "corruption {i} recovered something other than the previous generation"
-        );
+        for (i, corrupt) in corruptions.iter().enumerate() {
+            let fs = ChaosStorage::new(StorageFaultPlan::reliable(1));
+            fs.write_file(path, corrupt).unwrap();
+            fs.write_file(&prev_p, &prev_bytes).unwrap();
+            let recovered = Checkpoint::load_with_fallback_from(&fs, path)
+                .unwrap_or_else(|e| panic!("{kind} corruption {i}: fallback loader failed: {e}"));
+            assert_eq!(
+                recovered.generation,
+                SnapshotGeneration::Previous,
+                "{kind} corruption {i} did not fall back"
+            );
+            let primary_error = recovered
+                .primary_error
+                .as_ref()
+                .unwrap_or_else(|| panic!("{kind} corruption {i}: no primary error recorded"));
+            assert!(!primary_error.class().is_empty());
+            let mut round_trip = Vec::new();
+            recovered.checkpoint.write_to(&mut round_trip).unwrap();
+            assert_eq!(
+                round_trip, prev_bytes,
+                "{kind} corruption {i} recovered something other than the previous generation"
+            );
+        }
     }
 }
 

@@ -12,7 +12,7 @@
 
 use mcc::core::{
     AnyEngine, DirectorySim, DirectorySimConfig, Engine, EngineKind, FaultPlan, PlacementPolicy,
-    Protocol,
+    Protocol, RunSpec,
 };
 use mcc::obs::{lock_sink, shared, BufferSink, Event};
 use mcc::placement::PagePlacement;
@@ -232,8 +232,14 @@ fn sharded_runs_match_the_sequential_reference_bit_exactly() {
         let fast = DirectorySim::new(protocol, &config()).with_engine(EngineKind::Fast);
         let sequential = reference.try_run(&trace).expect("reference run");
         for shards in [1usize, 4, 8] {
+            let spec = RunSpec {
+                shards,
+                monitor: true,
+                ..RunSpec::default()
+            };
             let sharded_fast = fast
-                .try_run_sharded(&trace, shards)
+                .execute(&trace, &spec)
+                .and_then(|report| report.merged())
                 .expect("fast sharded run");
             assert_eq!(
                 sharded_fast, sequential,
@@ -258,7 +264,14 @@ fn faulted_event_streams_match_after_scrubbing() {
                 .with_engine(kind)
                 .with_faults(plan);
             let (buffer, handle) = shared(BufferSink::new());
-            let result = sim.try_run_with_sink(&trace, handle);
+            let spec = RunSpec {
+                sinks: Some(std::slice::from_ref(&handle)),
+                monitor: true,
+                ..RunSpec::default()
+            };
+            let result = sim
+                .execute(&trace, &spec)
+                .and_then(|report| report.merged());
             let events = std::mem::take(&mut *lock_sink(&buffer)).into_events();
             (result, events)
         };

@@ -8,7 +8,12 @@
 //! `cargo run --release -p mcc-bench --bin golden_dump` and update the
 //! table.
 
-use mcc::core::{DirectoryRepr, DirectorySim, DirectorySimConfig, EngineKind, Protocol};
+use mcc::core::{
+    DirectoryRepr, DirectorySim, DirectorySimConfig, EngineKind, Protocol, RunSpec, SimError,
+    SimResult,
+};
+use mcc::obs::SharedSink;
+use mcc::trace::Trace;
 use mcc::workloads::{Workload, WorkloadParams};
 
 /// Directory representation the goldens run under: `MCC_TEST_REPR`
@@ -245,7 +250,15 @@ fn pinned_message_totals() {
             );
             // The sharded merge path is pinned to the same goldens: a
             // regression in partitioning or merging fails tier-1.
-            let sharded = sim.run_sharded(&trace, shards).total_messages();
+            let spec = RunSpec {
+                shards,
+                ..RunSpec::default()
+            };
+            let sharded = sim
+                .execute(&trace, &spec)
+                .and_then(|report| report.merged())
+                .expect("sharded golden run")
+                .total_messages();
             assert_eq!(
                 sharded, want,
                 "{app}/{protocol}: K={shards} sharded total diverged from the golden count"
@@ -255,8 +268,7 @@ fn pinned_message_totals() {
             // count must hold bit-exactly with events flowing.
             if let Some(capacity) = test_events_ring() {
                 let (ring, handle) = mcc::obs::shared(mcc::obs::RingSink::new(capacity));
-                let observed = sim
-                    .try_run_with_sink(&trace, handle)
+                let observed = observed_run(&sim, &trace, handle)
                     .expect("instrumented golden run")
                     .total_messages();
                 assert_eq!(
@@ -276,8 +288,7 @@ fn pinned_message_totals() {
                 use mcc::obs::{metrics::names, shared, Telemetry, TelemetrySink};
                 let plane = Telemetry::new();
                 let sink = shared(TelemetrySink::new(&plane, mcc::obs::DEFAULT_PUBLISH_EVERY)).1;
-                let observed = sim
-                    .try_run_with_sink(&trace, sink)
+                let observed = observed_run(&sim, &trace, sink)
                     .expect("telemetry-instrumented golden run")
                     .total_messages();
                 assert_eq!(
@@ -299,4 +310,19 @@ fn pinned_message_totals() {
             }
         }
     }
+}
+
+/// `sim`'s monitored sequential run with `sink` attached; the sink is
+/// dropped on return, which flushes a batching sink's last events.
+fn observed_run(
+    sim: &DirectorySim,
+    trace: &Trace,
+    sink: SharedSink,
+) -> Result<SimResult, SimError> {
+    let spec = RunSpec {
+        sinks: Some(std::slice::from_ref(&sink)),
+        monitor: true,
+        ..RunSpec::default()
+    };
+    sim.execute(trace, &spec)?.merged()
 }

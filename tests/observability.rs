@@ -9,9 +9,12 @@
 //! not depend on the shard count, and a dying run must leave a usable
 //! flight-recorder dump naming the offending block.
 
-use mcc::core::{DirectorySim, DirectorySimConfig, FaultPlan, FaultRates, Protocol};
+use mcc::core::{
+    DirectorySim, DirectorySimConfig, FaultPlan, FaultRates, Protocol, RunSpec, SimError, SimResult,
+};
 use mcc::obs::{
     lock_sink, shared, BufferSink, Event, FlightRecorder, MetricsRecorder, Registry, RingSink,
+    SharedSink,
 };
 use mcc::trace::{shard_of_block, Addr, BlockSize, MemRef, NodeId, Trace};
 use mcc_bench::obs::{flight_dump, write_events_jsonl};
@@ -61,6 +64,31 @@ fn scratch(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("mcc-obs-{}-{name}", std::process::id()))
 }
 
+/// `sim`'s monitored sequential run with `sink` attached.
+fn observed(sim: &DirectorySim, trace: &Trace, sink: SharedSink) -> Result<SimResult, SimError> {
+    let spec = RunSpec {
+        sinks: Some(std::slice::from_ref(&sink)),
+        monitor: true,
+        ..RunSpec::default()
+    };
+    sim.execute(trace, &spec)?.merged()
+}
+
+/// `sim`'s monitored sharded run, one shard per entry of `sinks`.
+fn observed_sharded(
+    sim: &DirectorySim,
+    trace: &Trace,
+    sinks: &[SharedSink],
+) -> Result<SimResult, SimError> {
+    let spec = RunSpec {
+        shards: sinks.len(),
+        sinks: Some(sinks),
+        monitor: true,
+        ..RunSpec::default()
+    };
+    sim.execute(trace, &spec)?.merged()
+}
+
 #[test]
 fn attached_sinks_never_perturb_results() {
     let trace = mixed_trace(0x0B5E);
@@ -70,9 +98,7 @@ fn attached_sinks_never_perturb_results() {
         let bare = sim.try_run(&trace).expect("bare run");
 
         let (ring, ring_handle) = shared(RingSink::new(64));
-        let ringed = sim
-            .try_run_with_sink(&trace, ring_handle)
-            .expect("ring run");
+        let ringed = observed(&sim, &trace, ring_handle).expect("ring run");
         assert_eq!(ringed, bare, "{protocol}: a ring sink changed the result");
         assert!(
             lock_sink(&ring).total_seen() >= trace.len() as u64,
@@ -80,9 +106,7 @@ fn attached_sinks_never_perturb_results() {
         );
 
         let (_buf, buf_handle) = shared(BufferSink::new());
-        let buffered = sim
-            .try_run_with_sink(&trace, buf_handle)
-            .expect("buffer run");
+        let buffered = observed(&sim, &trace, buf_handle).expect("buffer run");
         assert_eq!(
             buffered, bare,
             "{protocol}: a buffer sink changed the result"
@@ -91,9 +115,7 @@ fn attached_sinks_never_perturb_results() {
         let shards = 4;
         let sinks: Vec<_> = (0..shards).map(|_| shared(BufferSink::new())).collect();
         let handles: Vec<_> = sinks.iter().map(|(_, h)| h.clone()).collect();
-        let sharded = sim
-            .try_run_sharded_with_sinks(&trace, shards, &handles)
-            .expect("sharded observed run");
+        let sharded = observed_sharded(&sim, &trace, &handles).expect("sharded observed run");
         assert_eq!(
             sharded, bare,
             "{protocol}: per-shard sinks changed the sharded result"
@@ -111,9 +133,7 @@ fn sharded_streams_carry_shard_framing_and_reproduce_counters() {
     let sim = DirectorySim::new(Protocol::Basic, &cfg);
     let sinks: Vec<_> = (0..shards).map(|_| shared(BufferSink::new())).collect();
     let handles: Vec<_> = sinks.iter().map(|(_, h)| h.clone()).collect();
-    let result = sim
-        .try_run_sharded_with_sinks(&trace, shards, &handles)
-        .expect("sharded run");
+    let result = observed_sharded(&sim, &trace, &handles).expect("sharded run");
 
     let mut merged: Vec<Event> = Vec::new();
     let mut steps_total = 0usize;
@@ -177,7 +197,7 @@ fn fault_events_ride_the_stream_without_changing_the_run() {
     let sim = DirectorySim::new(Protocol::Basic, &cfg).with_faults(FaultPlan::uniform(7, 50_000));
     let bare = sim.try_run(&trace).expect("faulted run");
     let (buf, handle) = shared(BufferSink::new());
-    let observed = sim.try_run_with_sink(&trace, handle).expect("observed run");
+    let observed = observed(&sim, &trace, handle).expect("observed run");
     assert_eq!(observed, bare, "a sink changed a faulted run");
 
     let events = lock_sink(&buf).events().to_vec();
@@ -238,8 +258,7 @@ fn shard_zero_fault_stream_is_independent_of_shard_count() {
     for shards in COUNTS {
         let sinks: Vec<_> = (0..shards).map(|_| shared(BufferSink::new())).collect();
         let handles: Vec<_> = sinks.iter().map(|(_, h)| h.clone()).collect();
-        sim.try_run_sharded_with_sinks(&trace, shards, &handles)
-            .expect("faulted sharded run");
+        observed_sharded(&sim, &trace, &handles).expect("faulted sharded run");
         let shard0 = lock_sink(&sinks[0].0).events().to_vec();
         // Every reference hits shard 0; the others must stay silent
         // apart from their framing.
@@ -291,7 +310,7 @@ fn dying_run_leaves_a_flight_dump_with_the_offending_blocks_timeline() {
         };
         let sim = DirectorySim::new(Protocol::Aggressive, &cfg).with_faults(plan);
         let (buf, handle) = shared(BufferSink::new());
-        let Err(err) = sim.try_run_with_sink(&trace, handle) else {
+        let Err(err) = observed(&sim, &trace, handle) else {
             continue;
         };
         let Some(block) = err.block() else {

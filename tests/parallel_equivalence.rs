@@ -10,7 +10,7 @@ use std::hash::{Hash, Hasher};
 
 use mcc::core::{
     AdaptivePolicy, DirectorySim, DirectorySimConfig, FaultPlan, PlacementPolicy, Protocol,
-    SimError, SimResult,
+    RunSpec, SimError, SimResult,
 };
 use mcc::trace::{Addr, MemRef, NodeId, Trace};
 use mcc::workloads::{Workload, WorkloadParams};
@@ -67,6 +67,33 @@ fn hash_result(r: &SimResult) -> u64 {
     h.finish()
 }
 
+/// `sim` on `shards` address-sharded engines, panicking on failure like
+/// [`DirectorySim::run`].
+fn run_sharded(sim: &DirectorySim, trace: &Trace, shards: usize) -> SimResult {
+    let spec = RunSpec {
+        shards,
+        ..RunSpec::default()
+    };
+    sim.execute(trace, &spec)
+        .and_then(|report| report.merged())
+        .unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// `sim` on `shards` engines with the invariant monitor, reporting
+/// failures as values like [`DirectorySim::try_run`].
+fn try_run_sharded(
+    sim: &DirectorySim,
+    trace: &Trace,
+    shards: usize,
+) -> Result<SimResult, SimError> {
+    let spec = RunSpec {
+        shards,
+        monitor: true,
+        ..RunSpec::default()
+    };
+    sim.execute(trace, &spec)?.merged()
+}
+
 #[test]
 fn random_traces_shard_bit_exactly_for_all_protocols() {
     for seed in [1u64, 2, 3] {
@@ -77,7 +104,7 @@ fn random_traces_shard_bit_exactly_for_all_protocols() {
             // The totals the issue calls out, asserted via the full
             // result: messages, misses, invalidations, classifications.
             for shards in SHARD_COUNTS {
-                let sharded = sim.run_sharded(&trace, shards);
+                let sharded = run_sharded(&sim, &trace, shards);
                 assert_eq!(
                     sharded, sequential,
                     "seed {seed}, {protocol}, K={shards}: sharded != sequential"
@@ -112,7 +139,7 @@ fn every_placement_policy_shards_bit_exactly() {
         let sequential = sim.run(&trace);
         for shards in SHARD_COUNTS {
             assert_eq!(
-                sim.run_sharded(&trace, shards),
+                run_sharded(&sim, &trace, shards),
                 sequential,
                 "{placement:?}, K={shards}"
             );
@@ -129,7 +156,7 @@ fn workload_traces_shard_bit_exactly() {
         let sim = DirectorySim::new(protocol, &cfg);
         let sequential = sim.run(&trace);
         for shards in SHARD_COUNTS {
-            assert_eq!(sim.run_sharded(&trace, shards), sequential, "{protocol}");
+            assert_eq!(run_sharded(&sim, &trace, shards), sequential, "{protocol}");
         }
     }
 }
@@ -139,7 +166,7 @@ fn try_run_sharded_matches_try_run_with_monitoring() {
     let trace = random_trace(11, 10_000, 8);
     let sim = DirectorySim::new(Protocol::Conservative, &config(PlacementPolicy::Profiled));
     assert_eq!(
-        sim.try_run_sharded(&trace, 4).expect("clean run"),
+        try_run_sharded(&sim, &trace, 4).expect("clean run"),
         sim.try_run(&trace).expect("clean run")
     );
 }
@@ -155,9 +182,9 @@ fn faulted_sharded_runs_deliver_the_sequential_protocol_traffic() {
     for protocol in Protocol::PAPER_SET {
         let sequential = DirectorySim::new(protocol, &cfg).run(&trace);
         for shards in SHARD_COUNTS {
-            let faulted = DirectorySim::new(protocol, &cfg)
-                .with_faults(FaultPlan::uniform(99, 20_000))
-                .try_run_sharded(&trace, shards)
+            let faulted =
+                DirectorySim::new(protocol, &cfg).with_faults(FaultPlan::uniform(99, 20_000));
+            let faulted = try_run_sharded(&faulted, &trace, shards)
                 .expect("2% fault rate stays within the retry budget");
             assert_eq!(
                 faulted.messages.delivered(),
@@ -184,10 +211,10 @@ fn sharded_determinism_stress_ten_runs_identical_hashes() {
     // scheduling.
     let trace = random_trace(17, 20_000, 8);
     let sim = DirectorySim::new(Protocol::Aggressive, &config(PlacementPolicy::Profiled));
-    let reference = hash_result(&sim.run_sharded(&trace, 8));
+    let reference = hash_result(&run_sharded(&sim, &trace, 8));
     for run in 1..10 {
         assert_eq!(
-            hash_result(&sim.run_sharded(&trace, 8)),
+            hash_result(&run_sharded(&sim, &trace, 8)),
             reference,
             "run {run} hashed differently"
         );
@@ -202,11 +229,11 @@ fn faulted_sharded_determinism_stress() {
     let trace = random_trace(19, 15_000, 8);
     let sim = DirectorySim::new(Protocol::Basic, &config(PlacementPolicy::Profiled))
         .with_faults(FaultPlan::uniform(5, 30_000));
-    let first = sim.try_run_sharded(&trace, 8).expect("clean run");
+    let first = try_run_sharded(&sim, &trace, 8).expect("clean run");
     assert!(first.messages.overhead().total() > 0, "faults must fire");
     let reference = hash_result(&first);
     for run in 1..10 {
-        let result = sim.try_run_sharded(&trace, 8).expect("clean run");
+        let result = try_run_sharded(&sim, &trace, 8).expect("clean run");
         assert_eq!(
             hash_result(&result),
             reference,
@@ -225,7 +252,7 @@ fn finite_caches_are_rejected_with_a_typed_error() {
         ..DirectorySimConfig::default()
     };
     let trace = random_trace(23, 1_000, 8);
-    match DirectorySim::new(Protocol::Basic, &cfg).try_run_sharded(&trace, 4) {
+    match try_run_sharded(&DirectorySim::new(Protocol::Basic, &cfg), &trace, 4) {
         Err(SimError::ShardingUnsupported { .. }) => {}
         other => panic!("expected ShardingUnsupported, got {other:?}"),
     }
@@ -235,15 +262,15 @@ fn finite_caches_are_rejected_with_a_typed_error() {
 fn degenerate_traces_shard_cleanly() {
     let sim = DirectorySim::new(Protocol::Basic, &config(PlacementPolicy::Profiled));
     // Empty trace: all shards empty, zero result.
-    let empty = sim.run_sharded(&Trace::new(), 8);
+    let empty = run_sharded(&sim, &Trace::new(), 8);
     assert_eq!(empty, SimResult::empty(Protocol::Basic));
     // Single record: one shard does all the work, others are empty.
     let mut single = Trace::new();
     single.push(MemRef::write(NodeId::new(0), Addr::new(0x40)));
     for shards in SHARD_COUNTS {
-        assert_eq!(sim.run_sharded(&single, shards), sim.run(&single));
+        assert_eq!(run_sharded(&sim, &single, shards), sim.run(&single));
     }
     // More shards than distinct blocks.
     let narrow = random_trace(29, 500, 4);
-    assert_eq!(sim.run_sharded(&narrow, 64), sim.run(&narrow));
+    assert_eq!(run_sharded(&sim, &narrow, 64), sim.run(&narrow));
 }

@@ -7,7 +7,8 @@
 use std::path::PathBuf;
 
 use mcc::core::{
-    Checkpoint, CheckpointPolicy, DirectorySim, DirectorySimConfig, EngineKind, FaultPlan, Protocol,
+    Checkpoint, CheckpointPolicy, DirectorySim, DirectorySimConfig, EngineKind, FaultPlan,
+    Protocol, RunSpec, SimError, SimResult,
 };
 use mcc::execsim::{ExecCheckpoint, ExecSim, ExecSimConfig};
 use mcc::trace::{Addr, MemRef, NodeId, Trace};
@@ -57,6 +58,35 @@ fn test_engine() -> EngineKind {
     }
 }
 
+/// A sequential run of `trace` writing snapshots per `policy`.
+fn checkpointed(
+    sim: &DirectorySim,
+    trace: &Trace,
+    policy: &CheckpointPolicy,
+) -> Result<SimResult, SimError> {
+    let spec = RunSpec {
+        checkpoint: Some(policy),
+        ..RunSpec::default()
+    };
+    sim.execute(trace, &spec)?.merged()
+}
+
+/// Continues `ck` over `trace`, writing further snapshots per `policy`.
+fn resume(
+    sim: &DirectorySim,
+    trace: &Trace,
+    ck: &Checkpoint,
+    policy: Option<&CheckpointPolicy>,
+) -> Result<SimResult, SimError> {
+    let spec = RunSpec {
+        shards: ck.shard_count(),
+        checkpoint: policy,
+        resume: Some(ck),
+        ..RunSpec::default()
+    };
+    sim.execute(trace, &spec)?.merged()
+}
+
 #[test]
 fn every_boundary_resumes_bit_exactly_under_every_protocol() {
     let trace = small_trace(4);
@@ -81,9 +111,8 @@ fn every_boundary_resumes_bit_exactly_under_every_protocol() {
                 ck.write_to(&mut bytes).expect("vec write");
                 let back = Checkpoint::read_from(&mut &bytes[..]).expect("own bytes read back");
                 assert_eq!(back, ck, "{protocol} cut {cut}: roundtrip must be lossless");
-                let resumed = sim
-                    .resume_from(&trace, &back, None)
-                    .expect("resumed tail replays cleanly");
+                let resumed =
+                    resume(&sim, &trace, &back, None).expect("resumed tail replays cleanly");
                 assert_eq!(
                     resumed,
                     straight,
@@ -104,10 +133,18 @@ fn sharded_runs_resume_bit_exactly() {
     };
     for protocol in Protocol::PAPER_SET {
         let sim = DirectorySim::new(protocol, &cfg).with_engine(test_engine());
-        let straight = sim.try_run_sharded(&trace, 4).expect("sharded run");
+        let spec = RunSpec {
+            shards: 4,
+            monitor: true,
+            ..RunSpec::default()
+        };
+        let straight = sim
+            .execute(&trace, &spec)
+            .and_then(|report| report.merged())
+            .expect("sharded run");
         for cut in [0u64, 1, 5, 17, trace.len() as u64 / 2, trace.len() as u64] {
             let ck = sim.checkpoint_after(&trace, 4, cut).expect("prefix");
-            let resumed = sim.resume_from(&trace, &ck, None).expect("resume");
+            let resumed = resume(&sim, &trace, &ck, None).expect("resume");
             assert_eq!(resumed, straight, "{protocol} sharded cut {cut}");
         }
     }
@@ -126,13 +163,11 @@ fn on_disk_checkpoints_roundtrip_and_resume() {
     // A supervised run leaves a final, complete snapshot behind.
     let path = scratch("final.ckpt");
     let policy = CheckpointPolicy::new(13, &path);
-    let supervised = sim
-        .run_resumable(&trace, 1, &policy)
-        .expect("supervised run");
+    let supervised = checkpointed(&sim, &trace, &policy).expect("supervised run");
     assert_eq!(supervised, straight);
     let ck = Checkpoint::load(&path).expect("final snapshot loads");
     assert!(ck.is_complete());
-    assert_eq!(ck.completed_records(), trace.len() as u64);
+    assert_eq!(ck.shards()[0].cursor(), trace.len() as u64);
 
     // A mid-run snapshot saved to disk resumes to the same result.
     let mid = sim
@@ -141,7 +176,7 @@ fn on_disk_checkpoints_roundtrip_and_resume() {
     mid.save(&path).expect("atomic save");
     let reloaded = Checkpoint::load(&path).expect("mid snapshot loads");
     assert!(!reloaded.is_complete());
-    let resumed = sim.resume_from(&trace, &reloaded, None).expect("resume");
+    let resumed = resume(&sim, &trace, &reloaded, None).expect("resume");
     assert_eq!(resumed, straight);
     std::fs::remove_file(&path).ok();
 }
@@ -160,15 +195,13 @@ fn resumed_runs_keep_checkpointing_at_the_same_boundaries() {
     let sim = DirectorySim::new(Protocol::Basic, &cfg).with_engine(test_engine());
     let path = scratch("cadence.ckpt");
     let policy = CheckpointPolicy::new(10, &path);
-    let straight = sim.run_resumable(&trace, 1, &policy).expect("supervised");
+    let straight = checkpointed(&sim, &trace, &policy).expect("supervised");
     let uninterrupted_final = Checkpoint::load(&path).expect("final snapshot");
 
     let mid = sim
         .checkpoint_after(&trace, 1, 25)
         .expect("killed at record 25");
-    let resumed = sim
-        .resume_from(&trace, &mid, Some(&policy))
-        .expect("resume with policy");
+    let resumed = resume(&sim, &trace, &mid, Some(&policy)).expect("resume with policy");
     assert_eq!(resumed, straight);
     let resumed_final = Checkpoint::load(&path).expect("final snapshot after resume");
     assert_eq!(resumed_final, uninterrupted_final);
@@ -236,15 +269,15 @@ fn checkpoints_cross_engines_bit_exactly() {
             "{protocol}: engines disagree before any checkpointing"
         );
         for cut in [0u64, 1, 7, trace.len() as u64 / 2, trace.len() as u64] {
-            for (capture, resume) in [(&reference, &fast), (&fast, &reference)] {
+            for (capture, resumer) in [(&reference, &fast), (&fast, &reference)] {
                 let ck = capture.checkpoint_after(&trace, 1, cut).expect("prefix");
-                let resumed = resume.resume_from(&trace, &ck, None).expect("resume");
+                let resumed = resume(resumer, &trace, &ck, None).expect("resume");
                 assert_eq!(
                     resumed,
                     straight,
                     "{protocol} cut {cut}: checkpoint under {:?} did not resume under {:?}",
                     capture.engine_kind(),
-                    resume.engine_kind(),
+                    resumer.engine_kind(),
                 );
             }
         }
@@ -296,8 +329,7 @@ fn telemetry_attached_resume_stays_bit_exact() {
         let sim = DirectorySim::new(protocol, &cfg).with_engine(test_engine());
         let straight = sim.try_run(&trace).expect("uninterrupted run");
         for shards in [1usize, 4] {
-            // The cut is per shard, clamped to each sub-trace: keep it
-            // well under len/shards so every shard has a tail to
+            // Cut well inside the trace so every shard has a tail to
             // replay under observation.
             let cut = trace.len() as u64 / (2 * shards as u64);
             let ck = sim
@@ -307,8 +339,15 @@ fn telemetry_attached_resume_stays_bit_exact() {
             let sinks: Vec<_> = (0..shards)
                 .map(|_| shared(TelemetrySink::new(&plane, DEFAULT_PUBLISH_EVERY)).1)
                 .collect();
+            let spec = RunSpec {
+                shards,
+                sinks: Some(&sinks),
+                resume: Some(&ck),
+                ..RunSpec::default()
+            };
             let resumed = sim
-                .resume_from_with_sinks(&trace, &ck, None, &sinks)
+                .execute(&trace, &spec)
+                .and_then(|report| report.merged())
                 .expect("instrumented resume");
             assert_eq!(
                 resumed, straight,

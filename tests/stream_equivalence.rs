@@ -6,11 +6,11 @@
 
 use std::path::PathBuf;
 
-use mcc::core::CheckpointPolicy;
 use mcc::core::{
-    stream_fingerprint, DirectorySim, DirectorySimConfig, EngineKind, FaultPlan, Protocol,
-    SimError, StreamCheckpoint,
+    stream_fingerprint, Checkpoint, CheckpointPolicy, DirectorySim, DirectorySimConfig, EngineKind,
+    FaultPlan, Protocol, RunSource, RunSpec, SimError, SimResult,
 };
+use mcc::obs::{lock_sink, shared, BufferSink, Event, SharedSink};
 use mcc::trace::{Addr, MemRef, NodeId, Trace, TraceStream};
 use mcc::workloads::{Workload, WorkloadParams};
 
@@ -62,6 +62,22 @@ fn file_stream(trace: &Trace, name: &str) -> (TraceStream, PathBuf) {
     std::fs::write(&path, bytes).expect("write trace file");
     let stream = TraceStream::open(&path).expect("open trace stream");
     (stream, path)
+}
+
+/// Continues `ck` over `stream`, writing further snapshots per `policy`.
+fn resume(
+    sim: &DirectorySim,
+    stream: &TraceStream,
+    ck: &Checkpoint,
+    policy: Option<&CheckpointPolicy>,
+) -> Result<SimResult, SimError> {
+    let spec = RunSpec {
+        shards: ck.shard_count(),
+        checkpoint: policy,
+        resume: Some(ck),
+        ..RunSpec::default()
+    };
+    sim.execute(stream, &spec)?.merged()
 }
 
 #[test]
@@ -164,19 +180,18 @@ fn every_boundary_resumes_bit_exactly_through_a_reopened_stream() {
         let straight = sim.try_run_stream(&stream).expect("uninterrupted run");
         for cut in 0..=trace.len() as u64 {
             let ck = sim
-                .stream_checkpoint_after(&stream, 1, cut)
+                .checkpoint_after(&stream, 1, cut)
                 .expect("prefix replays cleanly");
             // Through the wire format at every boundary.
             let mut bytes = Vec::new();
             ck.write_to(&mut bytes).expect("vec write");
-            let back = StreamCheckpoint::read_from(&mut &bytes[..]).expect("own bytes read back");
+            let back = Checkpoint::read_from(&mut &bytes[..]).expect("own bytes read back");
             assert_eq!(back, ck, "{protocol} cut {cut}: roundtrip must be lossless");
             // The kill scenario: the original stream is gone; the
             // resumed process re-opens the file fresh.
             let reopened = TraceStream::open(&path).expect("re-open stream");
-            let resumed = sim
-                .resume_stream_from(&reopened, &back, None)
-                .expect("resumed tail replays cleanly");
+            let resumed =
+                resume(&sim, &reopened, &back, None).expect("resumed tail replays cleanly");
             assert_eq!(resumed, straight, "{protocol} cut {cut}");
         }
     }
@@ -199,13 +214,9 @@ fn sharded_stream_runs_resume_bit_exactly() {
             }
             let straight = sim.try_run_stream_sharded(&stream, 4).expect("sharded run");
             for cut in [0u64, 1, 17, trace.len() as u64 / 2, trace.len() as u64] {
-                let ck = sim
-                    .stream_checkpoint_after(&stream, 4, cut)
-                    .expect("prefix");
+                let ck = sim.checkpoint_after(&stream, 4, cut).expect("prefix");
                 let reopened = TraceStream::open(&path).expect("re-open stream");
-                let resumed = sim
-                    .resume_stream_from(&reopened, &ck, None)
-                    .expect("resume");
+                let resumed = resume(&sim, &reopened, &ck, None).expect("resume");
                 assert_eq!(
                     resumed,
                     straight,
@@ -236,22 +247,20 @@ fn streamed_resumable_runs_checkpoint_at_absolute_boundaries() {
         .run_stream_resumable(&stream, 1, &policy)
         .expect("supervised streamed run");
     assert_eq!(straight, sim.try_run(&trace).expect("materialized run"));
-    let uninterrupted_final = StreamCheckpoint::load(&ck_path).expect("final snapshot");
+    let uninterrupted_final = Checkpoint::load(&ck_path).expect("final snapshot");
     assert!(uninterrupted_final.is_complete());
     assert_eq!(uninterrupted_final.total_records(), trace.len() as u64);
 
     let mid = sim
-        .stream_checkpoint_after(&stream, 1, 25)
+        .checkpoint_after(&stream, 1, 25)
         .expect("killed at record 25");
     mid.save(&ck_path).expect("atomic save");
-    let reloaded = StreamCheckpoint::load(&ck_path).expect("mid snapshot loads");
+    let reloaded = Checkpoint::load(&ck_path).expect("mid snapshot loads");
     assert!(!reloaded.is_complete());
     let reopened = TraceStream::open(&trace_path).expect("re-open stream");
-    let resumed = sim
-        .resume_stream_from(&reopened, &reloaded, Some(&policy))
-        .expect("resume with policy");
+    let resumed = resume(&sim, &reopened, &reloaded, Some(&policy)).expect("resume with policy");
     assert_eq!(resumed, straight);
-    let resumed_final = StreamCheckpoint::load(&ck_path).expect("final snapshot after resume");
+    let resumed_final = Checkpoint::load(&ck_path).expect("final snapshot after resume");
     assert_eq!(resumed_final, uninterrupted_final);
     std::fs::remove_file(&ck_path).ok();
     std::fs::remove_file(&trace_path).ok();
@@ -270,13 +279,9 @@ fn stream_checkpoints_cross_engines_bit_exactly() {
         let fast = DirectorySim::new(protocol, &cfg).with_engine(EngineKind::Fast);
         let straight = reference.try_run_stream(&stream).expect("reference run");
         for cut in [0u64, 7, trace.len() as u64 / 2] {
-            for (capture, resume) in [(&reference, &fast), (&fast, &reference)] {
-                let ck = capture
-                    .stream_checkpoint_after(&stream, 1, cut)
-                    .expect("prefix");
-                let resumed = resume
-                    .resume_stream_from(&stream, &ck, None)
-                    .expect("resume");
+            for (capture, resumer) in [(&reference, &fast), (&fast, &reference)] {
+                let ck = capture.checkpoint_after(&stream, 1, cut).expect("prefix");
+                let resumed = resume(resumer, &stream, &ck, None).expect("resume");
                 assert_eq!(resumed, straight, "{protocol} cut {cut}");
             }
         }
@@ -296,7 +301,7 @@ fn a_grown_trace_file_is_rejected_on_resume() {
         ..DirectorySimConfig::default()
     };
     let sim = DirectorySim::new(Protocol::Basic, &cfg);
-    let ck = sim.stream_checkpoint_after(&stream, 1, 20).expect("prefix");
+    let ck = sim.checkpoint_after(&stream, 1, 20).expect("prefix");
     drop(stream);
 
     // Re-write the file with one extra record.
@@ -307,9 +312,7 @@ fn a_grown_trace_file_is_rejected_on_resume() {
     std::fs::write(&path, buf).expect("rewrite trace file");
 
     let reopened = TraceStream::open(&path).expect("re-open grown stream");
-    let err = sim
-        .resume_stream_from(&reopened, &ck, None)
-        .expect_err("grown trace must be rejected");
+    let err = resume(&sim, &reopened, &ck, None).expect_err("grown trace must be rejected");
     assert!(matches!(err, SimError::BadCheckpoint { .. }), "{err}");
     std::fs::remove_file(&path).ok();
 }
@@ -331,5 +334,62 @@ fn fingerprints_are_stable_across_sources_and_filters() {
     let cfg = DirectorySimConfig::default();
     let filtered = file.clone().with_shard_filter(cfg.block_size, 1, 4);
     assert_eq!(ff, stream_fingerprint(&filtered).expect("filtered"));
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn streamed_shards_emit_the_materialized_event_streams() {
+    // Sinks are part of the one pipeline: a streamed sharded run —
+    // checkpointing and under faults — must hand every shard's sink the
+    // exact event stream the same records produce materialized, from
+    // the `ShardStarted` framing through every `CheckpointSaved`.
+    let trace = small_trace(8);
+    let (stream, path) = file_stream(&trace, "sinks.mcct");
+    let cfg = DirectorySimConfig {
+        nodes: 8,
+        ..DirectorySimConfig::default()
+    };
+    let sim = DirectorySim::new(Protocol::Basic, &cfg)
+        .with_engine(test_engine())
+        .with_faults(FaultPlan::uniform(7, 40_000));
+    let shards = 4;
+    let observe = |source: RunSource<'_>, name: &str| -> (SimResult, Vec<Vec<Event>>) {
+        let ck_path = scratch(name);
+        let policy = CheckpointPolicy::new(16, &ck_path);
+        let sinks: Vec<_> = (0..shards).map(|_| shared(BufferSink::new())).collect();
+        let handles: Vec<SharedSink> = sinks.iter().map(|(_, h)| h.clone()).collect();
+        let spec = RunSpec {
+            shards,
+            sinks: Some(&handles),
+            checkpoint: Some(&policy),
+            ..RunSpec::default()
+        };
+        let result = sim
+            .execute(source, &spec)
+            .and_then(|report| report.merged())
+            .expect("observed run");
+        std::fs::remove_file(&ck_path).ok();
+        std::fs::remove_file(scratch(&format!("{name}.prev"))).ok();
+        let events = sinks
+            .iter()
+            .map(|(sink, _)| lock_sink(sink).events().to_vec())
+            .collect();
+        (result, events)
+    };
+    let (materialized, want) = observe(RunSource::from(&trace), "sinks-trace.ckpt");
+    let (streamed, got) = observe(RunSource::from(&stream), "sinks-stream.ckpt");
+    assert_eq!(streamed, materialized);
+    for (id, (want, got)) in want.iter().zip(&got).enumerate() {
+        assert!(
+            matches!(want.first(), Some(Event::ShardStarted { .. })),
+            "shard {id} is not framed"
+        );
+        assert!(
+            want.iter()
+                .any(|e| matches!(e, Event::CheckpointSaved { .. })),
+            "shard {id} saved no checkpoint"
+        );
+        assert_eq!(got, want, "shard {id}: streamed events diverged");
+    }
     std::fs::remove_file(&path).ok();
 }

@@ -2,7 +2,7 @@
 //! panicked) shard.
 //!
 //! The panic path is covered elsewhere; this file wedges one shard via
-//! the cooperative spin hook and holds `run_supervised` to its
+//! the cooperative spin hook and holds the executor's deadline to its
 //! contract: the wedged shard comes back as [`SimError::ShardTimedOut`],
 //! the surviving shards' results are salvaged, and the call returns
 //! within its budget — never a hang. The whole check runs under a
@@ -14,10 +14,20 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use mcc::core::supervision_test_hooks as hooks;
-use mcc::core::{DirectorySim, DirectorySimConfig, Protocol, SimError};
+use mcc::core::{DirectorySim, DirectorySimConfig, Protocol, RunSpec, SimError};
 use mcc::trace::{Addr, MemRef, NodeId, Trace};
 
 const SHARDS: usize = 4;
+
+/// A monitored `SHARDS`-way run, optionally under a deadline.
+fn supervised(deadline: Option<Duration>) -> RunSpec<'static> {
+    RunSpec {
+        shards: SHARDS,
+        deadline,
+        monitor: true,
+        ..RunSpec::default()
+    }
+}
 
 /// Enough references over enough blocks that every shard owns work.
 fn busy_trace() -> Trace {
@@ -63,13 +73,13 @@ fn wedged_shard_times_out_and_survivors_are_salvaged() {
             ..DirectorySimConfig::default()
         };
         let sim = DirectorySim::new(Protocol::Basic, &cfg);
-        let report = sim.run_supervised(&trace, SHARDS, Some(BUDGET));
+        let report = sim.execute(&trace, &supervised(Some(BUDGET)));
         let _ = tx.send(report);
     });
 
     let report = rx
         .recv_timeout(TEST_TIMEOUT)
-        .expect("run_supervised hung past the test-level timeout")
+        .expect("the supervised run hung past the test-level timeout")
         .expect("sharding is supported for this configuration");
     hooks::clear_wedge();
 
@@ -111,7 +121,7 @@ fn wedged_shard_times_out_and_survivors_are_salvaged() {
         ..DirectorySimConfig::default()
     };
     let clean = DirectorySim::new(Protocol::Basic, &cfg)
-        .run_supervised(&trace, SHARDS, None)
+        .execute(&trace, &supervised(None))
         .expect("clean supervised run");
     assert!(clean.all_completed());
     for (id, outcome) in report.outcomes().iter().enumerate() {
