@@ -1,7 +1,7 @@
 //! Self-timed harness over the paper-table experiments: times one
 //! reduced-scale section of each table so `cargo bench` exercises the
-//! full regeneration pipeline. (The `table2`/`table3`/... binaries
-//! produce the complete tables.)
+//! full regeneration pipeline. (`repro table2`, `repro table3` and
+//! `repro exec_time` produce the complete tables.)
 
 use mcc_bench::timing::bench;
 use mcc_bench::{block_size_sweep, cache_size_sweep, exec_time_comparison, Scenario};

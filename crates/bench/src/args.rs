@@ -1,12 +1,93 @@
-//! Minimal command-line handling shared by the harness binaries.
+//! Command-line handling shared by the harness binaries: the one flag
+//! reader every binary parses its arguments through, and the scenario
+//! flags the experiments read.
 
+use std::fmt::Display;
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::process::exit;
+use std::str::FromStr;
 
 use mcc_core::CheckpointPolicy;
+use mcc_trace::Trace;
+use mcc_workloads::{Workload, WorkloadParams};
 
 use crate::experiments::RunOptions;
 use crate::obs::ObsOptions;
+
+/// Reads a binary's arguments one at a time. Every usage error — a
+/// flag missing its value, a value that does not parse, an unknown
+/// argument — prints `<bin>: <problem> (try --help)` and exits 2.
+pub struct Flags {
+    bin: String,
+    args: std::iter::Skip<std::env::Args>,
+    current: String,
+}
+
+impl Flags {
+    /// The process arguments after the program name, read on behalf of
+    /// the binary `bin`.
+    pub fn from_env(bin: &str) -> Flags {
+        Flags {
+            bin: bin.to_string(),
+            args: std::env::args().skip(1),
+            current: String::new(),
+        }
+    }
+
+    /// The next argument, flag or positional; `None` at the end.
+    pub fn next_flag(&mut self) -> Option<String> {
+        let arg = self.args.next()?;
+        self.current.clone_from(&arg);
+        Some(arg)
+    }
+
+    /// The value of the flag just read, parsed as a `T`.
+    pub fn value<T: FromStr>(&mut self) -> T
+    where
+        T::Err: Display,
+    {
+        self.value_with(str::parse)
+    }
+
+    /// The value of the flag just read, parsed by `parse`.
+    pub fn value_with<T, E: Display>(&mut self, parse: impl FnOnce(&str) -> Result<T, E>) -> T {
+        let Some(raw) = self.args.next() else {
+            self.fail(format_args!("{} needs a value", self.current));
+        };
+        parse(&raw).unwrap_or_else(|e| {
+            self.fail(format_args!(
+                "invalid value {raw:?} for {}: {e}",
+                self.current
+            ))
+        })
+    }
+
+    /// Rejects the argument just read.
+    pub fn unknown(&self) -> ! {
+        self.fail(format_args!("unknown argument {:?}", self.current))
+    }
+
+    /// Reports `problem` as a usage error and exits 2.
+    pub fn fail(&self, problem: impl Display) -> ! {
+        eprintln!("{}: {problem} (try --help)", self.bin);
+        exit(2);
+    }
+}
+
+/// One `--help` line per scenario flag.
+const SCENARIO_HELP: &str = "
+  --nodes N             simulated machine size (default 16)
+  --scale X             workload work multiplier (default 0.1)
+  --seed N              workload RNG seed (default 0)
+  --csv                 emit CSV rows instead of aligned text
+  --shards K            address shards for the parallel engine (default 1; bit-identical)
+  --checkpoint-every N  snapshot a crash-safe run every N records
+  --checkpoint PATH     snapshot file (default mcc-bench.ckpt when a cadence is set)
+  --resume PATH         resume a killed run from its snapshot
+  --events-out PATH     write the protocol event stream as JSON Lines
+  --metrics-out PATH    write the metrics registry as JSON
+  --events-ring K       keep the last K events to dump if the run fails";
 
 /// A run scenario: machine size, work scale, and RNG seed.
 #[derive(Clone, Debug, PartialEq)]
@@ -56,79 +137,60 @@ impl Default for Scenario {
 }
 
 impl Scenario {
-    /// Parses `--nodes N`, `--scale X`, `--seed N`, `--csv` from the
-    /// process arguments; prints usage and exits on anything else.
-    pub fn from_env(bin: &str, what: &str) -> Self {
+    /// Parses the process arguments of a binary whose only flags are
+    /// the scenario flags in `reads`, a space-separated list; prints
+    /// usage and exits on anything else.
+    pub fn from_env(bin: &str, what: &str, reads: &str) -> Self {
         let mut s = Scenario::default();
-        let mut args = std::env::args().skip(1);
-        while let Some(arg) = args.next() {
-            let mut value = |name: &str| {
-                args.next().unwrap_or_else(|| {
-                    eprintln!("{bin}: {name} needs a value");
-                    exit(2);
-                })
-            };
-            match arg.as_str() {
-                "--nodes" => s.nodes = parse(bin, "--nodes", &value("--nodes")),
-                "--scale" => s.scale = parse(bin, "--scale", &value("--scale")),
-                "--seed" => s.seed = parse(bin, "--seed", &value("--seed")),
-                "--shards" => {
-                    s.shards = parse(bin, "--shards", &value("--shards"));
-                    if s.shards == 0 {
-                        eprintln!("{bin}: --shards must be at least 1");
-                        exit(2);
-                    }
-                }
-                "--csv" => s.csv = true,
-                "--checkpoint-every" => {
-                    s.checkpoint_every =
-                        parse(bin, "--checkpoint-every", &value("--checkpoint-every"));
-                }
-                "--checkpoint" => s.checkpoint = Some(PathBuf::from(value("--checkpoint"))),
-                "--resume" => s.resume = Some(PathBuf::from(value("--resume"))),
-                "--events-out" => s.events_out = Some(PathBuf::from(value("--events-out"))),
-                "--metrics-out" => s.metrics_out = Some(PathBuf::from(value("--metrics-out"))),
-                "--events-ring" => {
-                    s.events_ring = parse(bin, "--events-ring", &value("--events-ring"));
-                    if s.events_ring == 0 {
-                        eprintln!("{bin}: --events-ring must be at least 1");
-                        exit(2);
-                    }
-                }
-                "--help" | "-h" => {
-                    println!(
-                        "{bin} — {what}\n\nUsage: {bin} [--nodes N] [--scale X] [--seed N] \
-                         [--shards K] [--csv]\n\
-                         \n  --nodes N             simulated machine size (default 16)\
-                         \n  --scale X             workload work multiplier (default {})\
-                         \n  --seed N              workload RNG seed (default 0)\
-                         \n  --shards K            address shards for the parallel engine (default 1;\
-                         \n                        requires infinite caches, results are bit-identical)\
-                         \n  --csv                 emit CSV instead of aligned text\
-                         \n  --checkpoint-every N  snapshot a crash-safe run every N records\
-                         \n  --checkpoint PATH     file snapshots are written to (default\
-                         \n                        mcc-bench.ckpt when a cadence is set)\
-                         \n  --resume PATH         resume a killed run from its snapshot\
-                         \n  --events-out PATH     write the protocol event stream as JSON Lines\
-                         \n  --metrics-out PATH    write the metrics registry (counters, histograms,\
-                         \n                        interval snapshots) as JSON\
-                         \n  --events-ring K       keep the last K events for the flight-recorder\
-                         \n                        dump rendered when a run fails",
-                        crate::DEFAULT_SCALE
-                    );
-                    exit(0);
-                }
-                other => {
-                    eprintln!("{bin}: unknown argument {other:?} (try --help)");
-                    exit(2);
-                }
+        let mut flags = Flags::from_env(bin);
+        while let Some(flag) = flags.next_flag() {
+            if flag == "--help" || flag == "-h" {
+                println!(
+                    "{bin} — {what}\n\nUsage: {bin} [flags]\n{}",
+                    Scenario::help(reads)
+                );
+                exit(0);
+            }
+            if !reads.split(' ').any(|r| r == flag) || !s.apply(&flag, &mut flags) {
+                flags.unknown();
             }
         }
         s
     }
-}
 
-impl Scenario {
+    /// Applies the scenario flag `flag`, reading its value from
+    /// `flags`; returns `false` when `flag` is not a scenario flag.
+    pub fn apply(&mut self, flag: &str, flags: &mut Flags) -> bool {
+        match flag {
+            "--nodes" => self.nodes = flags.value(),
+            "--scale" => self.scale = flags.value(),
+            "--seed" => self.seed = flags.value(),
+            "--csv" => self.csv = true,
+            "--shards" => self.shards = flags.value::<NonZeroUsize>().get(),
+            "--checkpoint-every" => self.checkpoint_every = flags.value(),
+            "--checkpoint" => self.checkpoint = Some(flags.value()),
+            "--resume" => self.resume = Some(flags.value()),
+            "--events-out" => self.events_out = Some(flags.value()),
+            "--metrics-out" => self.metrics_out = Some(flags.value()),
+            "--events-ring" => self.events_ring = flags.value::<NonZeroUsize>().get(),
+            _ => return false,
+        }
+        true
+    }
+
+    /// `--help` lines for the scenario flags in `reads`, a
+    /// space-separated list.
+    pub fn help(reads: &str) -> String {
+        SCENARIO_HELP
+            .lines()
+            .filter(|line| {
+                let flag = line.split_whitespace().next();
+                flag.is_some_and(|flag| reads.split(' ').any(|r| r == flag))
+            })
+            .map(|line| format!("\n{line}"))
+            .collect()
+    }
+
     /// The [`RunOptions`] this scenario's checkpoint flags describe:
     /// `--shards`, `--checkpoint`/`--checkpoint-every` (folded into a
     /// [`CheckpointPolicy`]; the path defaults to `mcc-bench.ckpt` when
@@ -151,11 +213,33 @@ impl Scenario {
             },
         }
     }
+
+    /// The trace `app` generates under this scenario's node count,
+    /// scale and seed.
+    pub fn trace(&self, app: Workload) -> Trace {
+        app.generate(
+            &WorkloadParams::new(self.nodes)
+                .scale(self.scale)
+                .seed(self.seed),
+        )
+    }
+
+    /// Each of the five applications with its trace, generated one at a
+    /// time as the iterator is advanced.
+    pub fn traces(&self) -> impl Iterator<Item = (Workload, Trace)> + '_ {
+        Workload::ALL.into_iter().map(|app| (app, self.trace(app)))
+    }
 }
 
-fn parse<T: std::str::FromStr>(bin: &str, name: &str, raw: &str) -> T {
-    raw.parse().unwrap_or_else(|_| {
-        eprintln!("{bin}: invalid value {raw:?} for {name}");
-        exit(2);
-    })
+#[cfg(test)]
+mod tests {
+    use super::Scenario;
+
+    #[test]
+    fn help_lists_exactly_the_flags_read_with_their_defaults() {
+        let help = Scenario::help("--scale --csv");
+        assert_eq!(help.lines().filter(|l| !l.is_empty()).count(), 2);
+        assert!(help.contains(&format!("(default {})", crate::DEFAULT_SCALE)));
+        assert!(!help.contains("--nodes"));
+    }
 }

@@ -32,6 +32,7 @@
 use std::process::exit;
 use std::time::{SystemTime, UNIX_EPOCH};
 
+use mcc_bench::args::Flags;
 use mcc_bench::timing::{measure, measure_cpu_block, measure_detailed, thread_cpu_secs};
 use mcc_core::{
     AnyEngine, DirectorySim, DirectorySimConfig, Engine, EngineKind, Protocol, RunSpec, SimResult,
@@ -741,32 +742,18 @@ fn parse_args() -> Args {
         trajectory: Some("BENCH_trajectory.json".to_string()),
         quick: false,
     };
-    let mut argv = std::env::args().skip(1);
-    while let Some(arg) = argv.next() {
-        let mut value = |name: &str| {
-            argv.next().unwrap_or_else(|| {
-                eprintln!("{BIN}: {name} needs a value");
-                exit(2);
-            })
-        };
-        fn num<T: std::str::FromStr>(name: &str, raw: &str) -> T {
-            raw.parse().unwrap_or_else(|_| {
-                eprintln!("{BIN}: {name}: bad value {raw:?}");
-                exit(2);
-            })
-        }
-        match arg.as_str() {
-            "--nodes" => args.nodes = num("--nodes", &value("--nodes")),
-            "--scale" => args.scale = num("--scale", &value("--scale")),
-            "--seed" => args.seed = num("--seed", &value("--seed")),
-            "--samples" => args.samples = num("--samples", &value("--samples")),
-            "--min-speedup" => args.min_speedup = num("--min-speedup", &value("--min-speedup")),
-            "--max-overhead" => args.max_overhead = num("--max-overhead", &value("--max-overhead")),
-            "--max-regression" => {
-                args.max_regression = num("--max-regression", &value("--max-regression"));
-            }
-            "--out" => args.out = value("--out"),
-            "--trajectory" => args.trajectory = Some(value("--trajectory")),
+    let mut flags = Flags::from_env(BIN);
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--nodes" => args.nodes = flags.value(),
+            "--scale" => args.scale = flags.value(),
+            "--seed" => args.seed = flags.value(),
+            "--samples" => args.samples = flags.value(),
+            "--min-speedup" => args.min_speedup = flags.value(),
+            "--max-overhead" => args.max_overhead = flags.value(),
+            "--max-regression" => args.max_regression = flags.value(),
+            "--out" => args.out = flags.value(),
+            "--trajectory" => args.trajectory = Some(flags.value()),
             "--no-trajectory" => args.trajectory = None,
             "--quick" => {
                 args.quick = true;
@@ -797,10 +784,7 @@ fn parse_args() -> Args {
                 );
                 exit(0);
             }
-            other => {
-                eprintln!("{BIN}: unknown argument {other:?} (try --help)");
-                exit(2);
-            }
+            _ => flags.unknown(),
         }
     }
     args

@@ -8,29 +8,28 @@
 
 use std::process::exit;
 
+use mcc_bench::args::Flags;
 use mcc_check::parse_directory_repr;
 use mcc_core::{DirectoryRepr, DirectorySim, DirectorySimConfig, Protocol};
 use mcc_workloads::{Workload, WorkloadParams};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let reprs: Vec<DirectoryRepr> = match args.as_slice() {
-        [] => vec![
-            DirectoryRepr::FullMap,
-            DirectoryRepr::LimitedPointer { pointers: 4 },
-            DirectoryRepr::CoarseVector { region_size: 4 },
-        ],
-        [flag, value] if flag == "--directory" => {
-            vec![parse_directory_repr(value).unwrap_or_else(|e| {
-                eprintln!("golden_dump: {e}");
-                exit(2);
-            })]
+    let mut flags = Flags::from_env("golden_dump");
+    let mut reprs = vec![
+        DirectoryRepr::FullMap,
+        DirectoryRepr::LimitedPointer { pointers: 4 },
+        DirectoryRepr::CoarseVector { region_size: 4 },
+    ];
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--directory" => reprs = vec![flags.value_with(parse_directory_repr)],
+            "--help" | "-h" => {
+                println!("usage: golden_dump [--directory R]");
+                exit(0);
+            }
+            _ => flags.unknown(),
         }
-        _ => {
-            eprintln!("usage: golden_dump [--directory R]");
-            exit(2);
-        }
-    };
+    }
     let params = WorkloadParams::new(16).scale(0.1).seed(42);
     for directory in reprs {
         println!("    // {directory}");

@@ -18,14 +18,13 @@
 
 use std::path::PathBuf;
 use std::process::exit;
-use std::str::FromStr;
 use std::time::Duration;
 
+use mcc_bench::args::Flags;
 use mcc_check::parse_protocol;
 use mcc_core::{FaultPlan, FaultRates};
 use mcc_live::{run_live, KillSpec, LiveConfig, TelemetrySpec, WalConfig};
 use mcc_obs::Log2Histogram;
-use mcc_workloads::Workload;
 
 const BIN: &str = "live";
 
@@ -93,67 +92,44 @@ fn parse_args() -> (LiveConfig, Option<PathBuf>) {
     let mut delay_ppm = 0u32;
     let mut duplicate_ppm = 0u32;
     let mut max_retries = 64u32;
-    let mut out = None;
+    let mut out: Option<PathBuf> = None;
     let mut telemetry_addr: Option<String> = None;
     let mut telemetry_every_ms = 250u64;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{BIN}: {name} needs a value");
-                exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--protocol" => {
-                cfg.protocol = parse_protocol(&value("--protocol")).unwrap_or_else(|e| {
-                    eprintln!("{BIN}: {e}");
-                    exit(2);
-                })
-            }
-            "--workload" => {
-                cfg.workload = Workload::from_str(&value("--workload")).unwrap_or_else(|e| {
-                    eprintln!("{BIN}: {e}");
-                    exit(2);
-                })
-            }
-            "--nodes" => cfg.nodes = parse(&value("--nodes"), "--nodes"),
-            "--shards" => cfg.shards = parse(&value("--shards"), "--shards"),
-            "--scale" => cfg.scale = parse(&value("--scale"), "--scale"),
-            "--seed" => cfg.seed = parse(&value("--seed"), "--seed"),
+    let mut flags = Flags::from_env(BIN);
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--protocol" => cfg.protocol = flags.value_with(parse_protocol),
+            "--workload" => cfg.workload = flags.value(),
+            "--nodes" => cfg.nodes = flags.value(),
+            "--shards" => cfg.shards = flags.value(),
+            "--scale" => cfg.scale = flags.value(),
+            "--seed" => cfg.seed = flags.value(),
             "--chaos" => {
-                let ppm: u32 = parse(&value("--chaos"), "--chaos");
+                let ppm: u32 = flags.value();
                 drop_ppm = ppm;
                 nack_ppm = ppm;
                 delay_ppm = ppm;
                 duplicate_ppm = ppm;
             }
-            "--drop-ppm" => drop_ppm = parse(&value("--drop-ppm"), "--drop-ppm"),
-            "--nack-ppm" => nack_ppm = parse(&value("--nack-ppm"), "--nack-ppm"),
-            "--delay-ppm" => delay_ppm = parse(&value("--delay-ppm"), "--delay-ppm"),
-            "--dup-ppm" => duplicate_ppm = parse(&value("--dup-ppm"), "--dup-ppm"),
-            "--max-retries" => max_retries = parse(&value("--max-retries"), "--max-retries"),
+            "--drop-ppm" => drop_ppm = flags.value(),
+            "--nack-ppm" => nack_ppm = flags.value(),
+            "--delay-ppm" => delay_ppm = flags.value(),
+            "--dup-ppm" => duplicate_ppm = flags.value(),
+            "--max-retries" => max_retries = flags.value(),
             "--max-refs" => {
-                let n: usize = parse(&value("--max-refs"), "--max-refs");
+                let n: usize = flags.value();
                 cfg.max_refs_per_client = if n == 0 { usize::MAX } else { n };
             }
-            "--deadline-ms" => {
-                cfg.request_deadline =
-                    Duration::from_millis(parse(&value("--deadline-ms"), "--deadline-ms"))
-            }
+            "--deadline-ms" => cfg.request_deadline = Duration::from_millis(flags.value()),
             "--soak-secs" => {
-                let secs: u64 = parse(&value("--soak-secs"), "--soak-secs");
+                let secs: u64 = flags.value();
                 cfg.soak = (secs > 0).then(|| Duration::from_secs(secs));
             }
-            "--checkpoint-every" => {
-                cfg.checkpoint_every = parse(&value("--checkpoint-every"), "--checkpoint-every")
-            }
-            "--max-restarts" => {
-                cfg.max_restarts = parse(&value("--max-restarts"), "--max-restarts")
-            }
+            "--checkpoint-every" => cfg.checkpoint_every = flags.value(),
+            "--max-restarts" => cfg.max_restarts = flags.value(),
             "--verify-live" => cfg.verify_live = true,
             "--kill-shard" => {
-                let shard = parse(&value("--kill-shard"), "--kill-shard");
+                let shard = flags.value();
                 let after = cfg.kill.map(|k| k.after_applies).unwrap_or(100);
                 cfg.kill = Some(KillSpec {
                     shard,
@@ -161,7 +137,7 @@ fn parse_args() -> (LiveConfig, Option<PathBuf>) {
                 });
             }
             "--kill-after" => {
-                let after = parse(&value("--kill-after"), "--kill-after");
+                let after = flags.value();
                 let shard = cfg.kill.map(|k| k.shard).unwrap_or(0);
                 cfg.kill = Some(KillSpec {
                     shard,
@@ -169,18 +145,16 @@ fn parse_args() -> (LiveConfig, Option<PathBuf>) {
                 });
             }
             "--wal" => {
-                let dir = PathBuf::from(value("--wal"));
+                let dir: PathBuf = flags.value();
                 if let Err(e) = std::fs::create_dir_all(&dir) {
                     eprintln!("{BIN}: cannot create WAL dir {}: {e}", dir.display());
                     exit(2);
                 }
                 cfg.wal = Some(WalConfig::on_disk(dir));
             }
-            "--out" => out = Some(PathBuf::from(value("--out"))),
-            "--telemetry" => telemetry_addr = Some(value("--telemetry")),
-            "--telemetry-every-ms" => {
-                telemetry_every_ms = parse(&value("--telemetry-every-ms"), "--telemetry-every-ms")
-            }
+            "--out" => out = Some(flags.value()),
+            "--telemetry" => telemetry_addr = Some(flags.value()),
+            "--telemetry-every-ms" => telemetry_every_ms = flags.value(),
             "--help" | "-h" => {
                 println!(
                     "{BIN} — the protocol as a live, chaos-hardened service\n\n\
@@ -208,10 +182,7 @@ fn parse_args() -> (LiveConfig, Option<PathBuf>) {
                 );
                 exit(0);
             }
-            other => {
-                eprintln!("{BIN}: unknown argument {other:?} (try --help)");
-                exit(2);
-            }
+            _ => flags.unknown(),
         }
     }
     cfg.chaos = FaultPlan {
@@ -249,11 +220,4 @@ fn parse_args() -> (LiveConfig, Option<PathBuf>) {
         cfg.telemetry = Some(spec);
     }
     (cfg, out)
-}
-
-fn parse<T: FromStr>(s: &str, flag: &str) -> T {
-    s.parse().unwrap_or_else(|_| {
-        eprintln!("{BIN}: invalid value {s:?} for {flag}");
-        exit(2);
-    })
 }

@@ -16,6 +16,7 @@
 use std::process::exit;
 use std::time::Duration;
 
+use mcc_bench::args::Flags;
 use mcc_obs::{http_get, Json, Registry, Stage};
 
 const BIN: &str = "mcc-top";
@@ -260,24 +261,12 @@ fn parse_args() -> Args {
         interval: Duration::from_millis(1000),
         once: false,
     };
-    let mut argv = std::env::args().skip(1);
-    while let Some(arg) = argv.next() {
-        let mut value = |name: &str| {
-            argv.next().unwrap_or_else(|| {
-                eprintln!("{BIN}: {name} needs a value");
-                exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--url" => args.url = Some(value("--url")),
-            "--file" => args.file = Some(value("--file")),
-            "--interval-ms" => {
-                let ms: u64 = value("--interval-ms").parse().unwrap_or_else(|_| {
-                    eprintln!("{BIN}: --interval-ms: bad value");
-                    exit(2);
-                });
-                args.interval = Duration::from_millis(ms.max(50));
-            }
+    let mut flags = Flags::from_env(BIN);
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--url" => args.url = Some(flags.value()),
+            "--file" => args.file = Some(flags.value()),
+            "--interval-ms" => args.interval = Duration::from_millis(flags.value::<u64>().max(50)),
             "--once" => args.once = true,
             "--help" | "-h" => {
                 println!(
@@ -294,15 +283,11 @@ fn parse_args() -> Args {
                 );
                 exit(0);
             }
-            other => {
-                eprintln!("{BIN}: unknown argument {other:?} (try --help)");
-                exit(2);
-            }
+            _ => flags.unknown(),
         }
     }
     if args.url.is_some() == args.file.is_some() {
-        eprintln!("{BIN}: exactly one of --url or --file is required (try --help)");
-        exit(2);
+        flags.fail("exactly one of --url or --file is required");
     }
     args
 }

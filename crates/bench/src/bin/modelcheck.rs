@@ -16,6 +16,7 @@ use std::path::PathBuf;
 use std::process::exit;
 use std::time::{Duration, Instant};
 
+use mcc_bench::args::Flags;
 use mcc_check::{
     explore, fuzz, parse_directory_repr, parse_protocol, protocol_points, protocol_slug, Checker,
     CheckerConfig, Counterexample, ExploreConfig, FuzzConfig,
@@ -290,52 +291,23 @@ fn parse_args() -> Args {
         fast_engine: false,
         directory: mcc_core::DirectoryRepr::FullMap,
     };
-    let mut argv = std::env::args().skip(1);
-    while let Some(arg) = argv.next() {
-        let mut value = |name: &str| {
-            argv.next().unwrap_or_else(|| {
-                eprintln!("{BIN}: {name} needs a value");
-                exit(2);
-            })
-        };
-        fn num<T: std::str::FromStr>(name: &str, raw: &str) -> T {
-            raw.parse().unwrap_or_else(|_| {
-                eprintln!("{BIN}: {name}: bad value {raw:?}");
-                exit(2);
-            })
-        }
-        match arg.as_str() {
-            "--nodes" => args.nodes = num("--nodes", &value("--nodes")),
-            "--blocks" => args.blocks = num("--blocks", &value("--blocks")),
-            "--max-len" => args.max_len = num("--max-len", &value("--max-len")),
-            "--max-states" => args.max_states = num("--max-states", &value("--max-states")),
-            "--seed" => args.seed = num("--seed", &value("--seed")),
-            "--fuzz-cases" => args.fuzz_cases = num("--fuzz-cases", &value("--fuzz-cases")),
-            "--fuzz-len" => args.fuzz_len = num("--fuzz-len", &value("--fuzz-len")),
-            "--time-budget" => {
-                args.time_budget = Some(Duration::from_secs(num(
-                    "--time-budget",
-                    &value("--time-budget"),
-                )));
-            }
-            "--repro-dir" => args.repro_dir = Some(PathBuf::from(value("--repro-dir"))),
+    let mut flags = Flags::from_env(BIN);
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--nodes" => args.nodes = flags.value(),
+            "--blocks" => args.blocks = flags.value(),
+            "--max-len" => args.max_len = flags.value(),
+            "--max-states" => args.max_states = flags.value(),
+            "--seed" => args.seed = flags.value(),
+            "--fuzz-cases" => args.fuzz_cases = flags.value(),
+            "--fuzz-len" => args.fuzz_len = flags.value(),
+            "--time-budget" => args.time_budget = Some(Duration::from_secs(flags.value())),
+            "--repro-dir" => args.repro_dir = Some(flags.value()),
             "--planted-bug" => args.planted_bug = true,
             "--fast-engine" => args.fast_engine = true,
-            "--directory" => {
-                let raw = value("--directory");
-                args.directory = parse_directory_repr(&raw).unwrap_or_else(|e| {
-                    eprintln!("{BIN}: --directory: {e}");
-                    exit(2);
-                });
-            }
-            "--replay" => args.replay = Some(PathBuf::from(value("--replay"))),
-            "--protocol" => {
-                let raw = value("--protocol");
-                args.protocol = Some(parse_protocol(&raw).unwrap_or_else(|e| {
-                    eprintln!("{BIN}: --protocol: {e}");
-                    exit(2);
-                }));
-            }
+            "--directory" => args.directory = flags.value_with(parse_directory_repr),
+            "--replay" => args.replay = Some(flags.value()),
+            "--protocol" => args.protocol = Some(flags.value_with(parse_protocol)),
             "--help" | "-h" => {
                 println!(
                     "{BIN} — exhaustive protocol model checker + differential fuzzer\n\n\
@@ -364,10 +336,7 @@ fn parse_args() -> Args {
                 );
                 exit(0);
             }
-            other => {
-                eprintln!("{BIN}: unknown argument {other:?} (try --help)");
-                exit(2);
-            }
+            _ => flags.unknown(),
         }
     }
     args

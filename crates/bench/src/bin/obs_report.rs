@@ -29,6 +29,7 @@
 use std::path::{Path, PathBuf};
 use std::process::exit;
 
+use mcc_bench::args::Flags;
 use mcc_obs::metrics::names;
 use mcc_obs::{Event, Json, Log2Histogram, Registry};
 use mcc_stats::Table;
@@ -637,6 +638,7 @@ fn report_scale(path: &Path) {
     }
 }
 
+#[derive(Default)]
 struct Args {
     metrics: Option<PathBuf>,
     events: Option<PathBuf>,
@@ -647,29 +649,16 @@ struct Args {
 }
 
 fn parse_args() -> Args {
-    let mut out = Args {
-        metrics: None,
-        events: None,
-        modelcheck: None,
-        live: None,
-        telemetry: None,
-        scale: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{BIN}: {name} needs a value");
-                exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--metrics" => out.metrics = Some(PathBuf::from(value("--metrics"))),
-            "--events" => out.events = Some(PathBuf::from(value("--events"))),
-            "--modelcheck" => out.modelcheck = Some(PathBuf::from(value("--modelcheck"))),
-            "--live" => out.live = Some(PathBuf::from(value("--live"))),
-            "--telemetry" => out.telemetry = Some(PathBuf::from(value("--telemetry"))),
-            "--scale" => out.scale = Some(PathBuf::from(value("--scale"))),
+    let mut out = Args::default();
+    let mut flags = Flags::from_env(BIN);
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--metrics" => out.metrics = Some(flags.value()),
+            "--events" => out.events = Some(flags.value()),
+            "--modelcheck" => out.modelcheck = Some(flags.value()),
+            "--live" => out.live = Some(flags.value()),
+            "--telemetry" => out.telemetry = Some(flags.value()),
+            "--scale" => out.scale = Some(flags.value()),
             "--help" | "-h" => {
                 println!(
                     "{BIN} — render observability artifacts into summary tables\n\n\
@@ -697,10 +686,7 @@ fn parse_args() -> Args {
                 );
                 exit(0);
             }
-            other => {
-                eprintln!("{BIN}: unknown argument {other:?} (try --help)");
-                exit(2);
-            }
+            _ => flags.unknown(),
         }
     }
     out

@@ -23,6 +23,7 @@
 use std::process::exit;
 use std::time::Instant;
 
+use mcc_bench::args::Flags;
 use mcc_check::{parse_directory_repr, parse_protocol};
 use mcc_core::{
     DirectoryRepr, DirectorySim, DirectorySimConfig, EngineKind, PlacementPolicy, Protocol, RunSpec,
@@ -130,64 +131,22 @@ fn parse_args() -> Args {
         rss_limit_mb: 2048,
         out: "BENCH_scale.json".to_string(),
     };
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = raw.iter();
+    let mut flags = Flags::from_env(BIN);
     let mut explicit_reprs = Vec::new();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> &str {
-            it.next().map(String::as_str).unwrap_or_else(|| {
-                eprintln!("{BIN}: {name} needs a value");
-                exit(2)
-            })
-        };
+    while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
             "--full" => {
                 args.refs = 1_000_000_000;
                 args.nodes = 1024;
             }
-            "--refs" => {
-                args.refs = value("--refs").parse().unwrap_or_else(|e| {
-                    eprintln!("{BIN}: bad --refs: {e}");
-                    exit(2)
-                })
-            }
-            "--nodes" => {
-                args.nodes = value("--nodes").parse().unwrap_or_else(|e| {
-                    eprintln!("{BIN}: bad --nodes: {e}");
-                    exit(2)
-                })
-            }
-            "--shards" => {
-                args.shards = value("--shards").parse().unwrap_or_else(|e| {
-                    eprintln!("{BIN}: bad --shards: {e}");
-                    exit(2)
-                })
-            }
-            "--protocol" => {
-                args.protocol = parse_protocol(value("--protocol")).unwrap_or_else(|e| {
-                    eprintln!("{BIN}: {e}");
-                    exit(2)
-                })
-            }
-            "--directory" => explicit_reprs.push(
-                parse_directory_repr(value("--directory")).unwrap_or_else(|e| {
-                    eprintln!("{BIN}: {e}");
-                    exit(2)
-                }),
-            ),
-            "--prefix" => {
-                args.prefix = value("--prefix").parse().unwrap_or_else(|e| {
-                    eprintln!("{BIN}: bad --prefix: {e}");
-                    exit(2)
-                })
-            }
-            "--rss-limit-mb" => {
-                args.rss_limit_mb = value("--rss-limit-mb").parse().unwrap_or_else(|e| {
-                    eprintln!("{BIN}: bad --rss-limit-mb: {e}");
-                    exit(2)
-                })
-            }
-            "--out" => args.out = value("--out").to_string(),
+            "--refs" => args.refs = flags.value(),
+            "--nodes" => args.nodes = flags.value(),
+            "--shards" => args.shards = flags.value(),
+            "--protocol" => args.protocol = flags.value_with(parse_protocol),
+            "--directory" => explicit_reprs.push(flags.value_with(parse_directory_repr)),
+            "--prefix" => args.prefix = flags.value(),
+            "--rss-limit-mb" => args.rss_limit_mb = flags.value(),
+            "--out" => args.out = flags.value(),
             "--help" | "-h" => {
                 eprintln!(
                     "usage: {BIN} [--full] [--refs N] [--nodes N] [--shards K] \
@@ -199,10 +158,7 @@ fn parse_args() -> Args {
                 );
                 exit(0);
             }
-            other => {
-                eprintln!("{BIN}: unknown flag {other} (try --help)");
-                exit(2);
-            }
+            _ => flags.unknown(),
         }
     }
     args.reprs = if explicit_reprs.is_empty() {
@@ -219,8 +175,7 @@ fn parse_args() -> Args {
         explicit_reprs
     };
     if args.refs == 0 || args.nodes == 0 || args.shards == 0 {
-        eprintln!("{BIN}: --refs, --nodes, and --shards must be positive");
-        exit(2);
+        flags.fail("--refs, --nodes, and --shards must be positive");
     }
     args.prefix = args.prefix.min(args.refs);
     args

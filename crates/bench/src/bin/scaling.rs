@@ -22,6 +22,8 @@ use mcc_workloads::{interleave_streams, GenCtx, MigratoryObjects, Region};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const SAMPLES: usize = 5;
+/// The scenario flags this study reads.
+const READS: &str = "--nodes --scale --seed --csv";
 
 /// A pure migratory region, as in the paper's Figure 2 microbenchmark:
 /// each record is read then written by one node at a time, with
@@ -44,7 +46,7 @@ fn figure2_trace(scenario: &Scenario) -> Trace {
 }
 
 fn main() {
-    let scenario = Scenario::from_env("scaling", "sharded-engine speedup study");
+    let scenario = Scenario::from_env("scaling", "sharded-engine speedup study", READS);
     let trace = figure2_trace(&scenario);
     let sim = DirectorySim::new(Protocol::Basic, &DirectorySimConfig::default());
 

@@ -29,6 +29,7 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use mcc_bench::args::Flags;
 use mcc_bench::{try_run_protocol_traced, ObsOptions, RunOptions};
 use mcc_core::{
     CheckpointPolicy, DirectorySimConfig, FaultPlan, Protocol, SimError, SimResult,
@@ -382,27 +383,19 @@ fn parse_args() -> Args {
     let mut events_ring = 0usize;
     let mut obs = false;
     let mut telemetry = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{BIN}: {name} needs a value");
-                exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--manifest" => manifest = Some(PathBuf::from(value("--manifest"))),
-            "--state" => state = Some(PathBuf::from(value("--state"))),
-            "--nodes" => nodes = parse(&value("--nodes"), "--nodes"),
-            "--scale" => scale = parse(&value("--scale"), "--scale"),
-            "--seed" => seed = parse(&value("--seed"), "--seed"),
-            "--shards" => shards = parse(&value("--shards"), "--shards"),
-            "--checkpoint-every" => {
-                every = parse(&value("--checkpoint-every"), "--checkpoint-every")
-            }
-            "--events-ring" => events_ring = parse(&value("--events-ring"), "--events-ring"),
+    let mut flags = Flags::from_env(BIN);
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--manifest" => manifest = Some(flags.value()),
+            "--state" => state = Some(flags.value()),
+            "--nodes" => nodes = flags.value(),
+            "--scale" => scale = flags.value(),
+            "--seed" => seed = flags.value(),
+            "--shards" => shards = flags.value(),
+            "--checkpoint-every" => every = flags.value(),
+            "--events-ring" => events_ring = flags.value(),
             "--obs" => obs = true,
-            "--telemetry" => telemetry = Some(value("--telemetry")),
+            "--telemetry" => telemetry = Some(flags.value()),
             "--help" | "-h" => {
                 println!(
                     "{BIN} — crash-safe sweep supervisor\n\n\
@@ -427,15 +420,11 @@ fn parse_args() -> Args {
                 );
                 exit(0);
             }
-            other => {
-                eprintln!("{BIN}: unknown argument {other:?} (try --help)");
-                exit(2);
-            }
+            _ => flags.unknown(),
         }
     }
     let (Some(manifest), Some(state)) = (manifest, state) else {
-        eprintln!("{BIN}: --manifest and --state are required (try --help)");
-        exit(2);
+        flags.fail("--manifest and --state are required");
     };
     Args {
         manifest,
@@ -449,11 +438,4 @@ fn parse_args() -> Args {
         obs,
         telemetry,
     }
-}
-
-fn parse<T: std::str::FromStr>(raw: &str, name: &str) -> T {
-    raw.parse().unwrap_or_else(|_| {
-        eprintln!("{BIN}: invalid value {raw:?} for {name}");
-        exit(2);
-    })
 }

@@ -32,11 +32,13 @@
 //! N` / `--max-kills N` bound the sweep for CI smoke runs; the
 //! unbounded default sweeps *every* op index.
 
+use std::num::NonZeroU64;
 use std::path::{Path, PathBuf};
 use std::process::exit;
 use std::sync::Arc;
 use std::time::Instant;
 
+use mcc_bench::args::Flags;
 use mcc_core::storage::KILLED_MARKER;
 use mcc_core::{
     ChaosStorage, Checkpoint, CheckpointError, CheckpointPolicy, DirectorySim, DirectorySimConfig,
@@ -451,37 +453,22 @@ fn parse_args() -> Args {
     let mut stride = 1u64;
     let mut max_kills = 0u64;
     let mut out = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{BIN}: {name} needs a value");
-                exit(2);
-            })
-        };
-        match arg.as_str() {
+    let mut flags = Flags::from_env(BIN);
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
             "--scenario" => {
-                scenario = match value("--scenario").as_str() {
-                    "sequential" => Scenario::Sequential,
-                    "stream" => Scenario::Stream,
-                    "live" => Scenario::Live,
-                    "all" => Scenario::All,
-                    other => {
-                        eprintln!("{BIN}: unknown scenario {other:?} (sequential|stream|live|all)");
-                        exit(2);
-                    }
-                }
+                scenario = flags.value_with(|name| match name {
+                    "sequential" => Ok(Scenario::Sequential),
+                    "stream" => Ok(Scenario::Stream),
+                    "live" => Ok(Scenario::Live),
+                    "all" => Ok(Scenario::All),
+                    _ => Err("want sequential, stream, live or all"),
+                });
             }
-            "--seed" => seed = parse(&value("--seed"), "--seed"),
-            "--stride" => {
-                stride = parse(&value("--stride"), "--stride");
-                if stride == 0 {
-                    eprintln!("{BIN}: --stride must be >= 1");
-                    exit(2);
-                }
-            }
-            "--max-kills" => max_kills = parse(&value("--max-kills"), "--max-kills"),
-            "--out" => out = Some(PathBuf::from(value("--out"))),
+            "--seed" => seed = flags.value(),
+            "--stride" => stride = flags.value::<NonZeroU64>().get(),
+            "--max-kills" => max_kills = flags.value(),
+            "--out" => out = Some(flags.value()),
             "--help" | "-h" => {
                 println!(
                     "{BIN} — kill-at-every-I/O storage torture harness\n\n\
@@ -500,10 +487,7 @@ fn parse_args() -> Args {
                 );
                 exit(0);
             }
-            other => {
-                eprintln!("{BIN}: unknown argument {other:?} (try --help)");
-                exit(2);
-            }
+            _ => flags.unknown(),
         }
     }
     Args {
@@ -513,11 +497,4 @@ fn parse_args() -> Args {
         max_kills,
         out,
     }
-}
-
-fn parse<T: std::str::FromStr>(raw: &str, name: &str) -> T {
-    raw.parse().unwrap_or_else(|_| {
-        eprintln!("{BIN}: invalid value {raw:?} for {name}");
-        exit(2);
-    })
 }

@@ -5,36 +5,35 @@
 
 use std::process::exit;
 
+use mcc_bench::args::Flags;
 use mcc_workloads::{Workload, WorkloadParams};
 
+const USAGE: &str = "usage: tracegen <cholesky|locus|mp3d|pthor|water> <output.mcct> \
+                     [--nodes N] [--scale X] [--seed N]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.len() < 2 {
-        eprintln!("usage: tracegen <cholesky|locus|mp3d|pthor|water> <output.mcct> [--nodes N] [--scale X] [--seed N]");
-        exit(2);
-    }
-    let workload: Workload = args[0].parse().unwrap_or_else(|e| {
-        eprintln!("tracegen: {e}");
-        exit(2);
-    });
-    let path = &args[1];
+    let mut flags = Flags::from_env("tracegen");
+    let mut positional = Vec::new();
     let mut params = WorkloadParams::new(16);
-    let mut rest = args[2..].iter();
-    while let Some(flag) = rest.next() {
-        let value = rest.next().unwrap_or_else(|| {
-            eprintln!("tracegen: {flag} needs a value");
-            exit(2);
-        });
+    while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
-            "--nodes" => params.nodes = value.parse().expect("node count"),
-            "--scale" => params = params.scale(value.parse().expect("scale")),
-            "--seed" => params = params.seed(value.parse().expect("seed")),
-            other => {
-                eprintln!("tracegen: unknown flag {other}");
-                exit(2);
+            "--nodes" => params.nodes = flags.value(),
+            "--scale" => params = params.scale(flags.value()),
+            "--seed" => params = params.seed(flags.value()),
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                exit(0);
             }
+            arg if !arg.starts_with('-') => positional.push(flag),
+            _ => flags.unknown(),
         }
     }
+    let [workload, path] = positional.as_slice() else {
+        flags.fail(USAGE);
+    };
+    let workload: Workload = workload
+        .parse()
+        .unwrap_or_else(|e| flags.fail(format_args!("{e}")));
 
     let trace = workload.generate(&params);
     let file = std::fs::File::create(path).unwrap_or_else(|e| {

@@ -5,17 +5,30 @@
 
 use std::process::exit;
 
+use mcc_bench::args::Flags;
 use mcc_core::{DirectorySim, DirectorySimConfig, Protocol};
 use mcc_trace::Trace;
 
+const USAGE: &str = "usage: traceinfo <trace.mcct> [--simulate]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        eprintln!("usage: traceinfo <trace.mcct> [--simulate]");
-        exit(2);
+    let mut flags = Flags::from_env("traceinfo");
+    let mut positional = Vec::new();
+    let mut simulate = false;
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--simulate" => simulate = true,
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                exit(0);
+            }
+            arg if !arg.starts_with('-') => positional.push(flag),
+            _ => flags.unknown(),
+        }
     }
-    let path = &args[0];
-    let simulate = args.iter().any(|a| a == "--simulate");
+    let [path] = positional.as_slice() else {
+        flags.fail(USAGE);
+    };
     let file = std::fs::File::open(path).unwrap_or_else(|e| {
         eprintln!("traceinfo: cannot open {path}: {e}");
         exit(1);

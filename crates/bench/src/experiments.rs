@@ -9,7 +9,7 @@ use mcc_core::{
 };
 use mcc_stats::{thousands, Table};
 use mcc_trace::BlockSize;
-use mcc_workloads::{Workload, WorkloadParams};
+use mcc_workloads::Workload;
 
 use crate::obs::ObsOptions;
 use crate::Scenario;
@@ -202,7 +202,7 @@ fn degradation_notice(requested: usize) {
 }
 
 /// Panicking convenience wrapper over [`try_run_protocol`] for the
-/// table binaries, which have no error path of their own: any
+/// experiment renderers, which have no error path of their own: any
 /// simulation failure is a bug worth dying loudly on.
 pub fn run_protocol(
     protocol: Protocol,
@@ -215,10 +215,7 @@ pub fn run_protocol(
 }
 
 fn run_all_protocols(cfg: &DirectorySimConfig, scenario: &Scenario, app: Workload) -> MessageRow {
-    let params = WorkloadParams::new(scenario.nodes)
-        .scale(scenario.scale)
-        .seed(scenario.seed);
-    let trace = app.generate(&params);
+    let trace = scenario.trace(app);
     let base = scenario.run_options();
     let results = Protocol::PAPER_SET
         .iter()
@@ -373,9 +370,9 @@ pub fn render_message_rows(title: &str, rows: &[MessageRow]) -> Table {
 /// placement, 64 KB caches — the paper's execution-driven setup).
 pub fn exec_time_comparison(scenario: &Scenario) -> Vec<ExecComparison> {
     use mcc_execsim::{ExecSim, ExecSimConfig};
-    Workload::ALL
-        .iter()
-        .map(|&app| {
+    scenario
+        .traces()
+        .map(|(app, trace)| {
             let mut cfg = ExecSimConfig {
                 nodes: scenario.nodes,
                 ..ExecSimConfig::default()
@@ -386,10 +383,6 @@ pub fn exec_time_comparison(scenario: &Scenario) -> Vec<ExecComparison> {
             // communication-bound) and determines how much of the message
             // savings shows up as time savings.
             cfg.latency.compute_between_refs = compute_density(app);
-            let params = WorkloadParams::new(scenario.nodes)
-                .scale(scenario.scale)
-                .seed(scenario.seed);
-            let trace = app.generate(&params);
             ExecComparison {
                 app,
                 conventional: ExecSim::new(Protocol::Conventional, &cfg).run(&trace),
@@ -456,19 +449,13 @@ pub fn bus_sweep(cache_kb: Option<u64>, scenario: &Scenario) -> Vec<BusCompariso
         block_size: BlockSize::B16,
         cache,
     };
-    Workload::ALL
-        .iter()
-        .map(|&app| {
-            let params = WorkloadParams::new(scenario.nodes)
-                .scale(scenario.scale)
-                .seed(scenario.seed);
-            let trace = app.generate(&params);
-            BusComparison {
-                app,
-                mesi: BusSim::new(SnoopProtocol::Mesi, &cfg).run(&trace),
-                adaptive: BusSim::new(SnoopProtocol::Adaptive, &cfg).run(&trace),
-                migrate_first: BusSim::new(SnoopProtocol::AdaptiveMigrateFirst, &cfg).run(&trace),
-            }
+    scenario
+        .traces()
+        .map(|(app, trace)| BusComparison {
+            app,
+            mesi: BusSim::new(SnoopProtocol::Mesi, &cfg).run(&trace),
+            adaptive: BusSim::new(SnoopProtocol::Adaptive, &cfg).run(&trace),
+            migrate_first: BusSim::new(SnoopProtocol::AdaptiveMigrateFirst, &cfg).run(&trace),
         })
         .collect()
 }
@@ -551,11 +538,7 @@ pub fn policy_ablation(scenario: &Scenario) -> Vec<(String, Workload, f64)> {
             placement: PlacementPolicy::Profiled,
             ..DirectorySimConfig::default()
         };
-        for &app in &Workload::ALL {
-            let params = WorkloadParams::new(scenario.nodes)
-                .scale(scenario.scale)
-                .seed(scenario.seed);
-            let trace = app.generate(&params);
+        for (app, trace) in scenario.traces() {
             let base = DirectorySim::new(Protocol::Conventional, &cfg).run(&trace);
             for initial_migratory in [false, true] {
                 for events_required in [1u8, 2, 3] {

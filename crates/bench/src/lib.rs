@@ -1,6 +1,6 @@
 //! The experiment harness: functions that regenerate every table and
-//! figure of the paper, shared by the `table*`/`figure*` binaries, the
-//! self-timed benches, and the integration tests.
+//! figure of the paper, shared by the `repro` binary's experiment
+//! table, the self-timed benches, and the integration tests.
 //!
 //! Each experiment takes a [`Scenario`] (node count, work scale, seed)
 //! so the same code can run paper-scale sweeps from the binaries and
@@ -12,6 +12,7 @@
 pub mod args;
 pub mod experiments;
 pub mod obs;
+pub mod repro;
 pub mod timing;
 
 pub use args::Scenario;
@@ -22,6 +23,6 @@ pub use experiments::{
 };
 pub use obs::ObsOptions;
 
-/// Default work-scale used by the table binaries: large enough for
-/// stable percentages, small enough to finish a full table in minutes.
+/// Default work-scale of the experiments: large enough for stable
+/// percentages, small enough to finish a full table in minutes.
 pub const DEFAULT_SCALE: f64 = 0.1;

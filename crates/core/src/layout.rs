@@ -6,7 +6,7 @@
 //! properties of the particular adaptive policy chosen." This module
 //! quantifies that: bits per directory entry for a full-map directory,
 //! with and without the adaptive extension, so hardware-cost trade-offs
-//! can be tabulated (see the `storage_overhead` harness binary).
+//! can be tabulated (see the `repro storage_overhead` experiment).
 
 use core::fmt;
 

@@ -12,7 +12,7 @@
 //!
 //! [`migrate_hints`] computes those decisions in one linear pass;
 //! [`DirectoryEngine::step_hinted`](crate::DirectoryEngine::step_hinted)
-//! applies them. The `ablation_oracle` harness binary measures how close
+//! applies them. The `repro ablation_oracle` experiment measures how close
 //! the adaptive protocols come to this bound.
 
 use std::collections::HashMap;

@@ -19,7 +19,7 @@
 //! blocks never have more than two cached copies, so an adaptive
 //! protocol keeps cheap directories out of their imprecise modes exactly
 //! where a conventional protocol needs them most. The
-//! `ablation_limited_pointers` harness binary quantifies this.
+//! `repro ablation_limited_pointers` experiment quantifies this.
 //!
 //! Every representation charges the same *residency* (the engines track
 //! the true copy set regardless); only the `‖DistantCopies‖` message

@@ -18,7 +18,7 @@
 //! Classifying a synthetic workload and checking the distribution
 //! against what the literature reports for the corresponding SPLASH
 //! program is how this repository validates its trace substitution (see
-//! the `classify` harness binary and DESIGN.md §2).
+//! `repro classify` and DESIGN.md §2).
 
 use std::collections::HashMap;
 use std::fmt;

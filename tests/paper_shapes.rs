@@ -1,8 +1,8 @@
 //! End-to-end checks that the reproduction preserves the *shape* of the
 //! paper's results: who wins, in what band, and where the trends point.
 //!
-//! These run at a reduced work scale; the `table2`/`table3`/`exec_time`
-//! binaries produce the full tables recorded in EXPERIMENTS.md.
+//! These run at a reduced work scale; `repro table2`, `repro table3` and
+//! `repro exec_time` produce the full tables recorded in EXPERIMENTS.md.
 
 use mcc::cache::{CacheConfig, CacheGeometry};
 use mcc::core::{DirectorySim, DirectorySimConfig, PlacementPolicy, Protocol, SimResult};
