@@ -1006,19 +1006,10 @@ impl Checkpoint {
     }
 
     /// Writes the checkpoint to `path` durably and atomically, keeping
-    /// the previous generation as a fallback:
-    ///
-    /// 1. the bytes land in a sibling `.tmp` file, which is fsynced;
-    /// 2. an existing `path` is rotated to `path.prev` (the last-good
-    ///    generation [`Checkpoint::load_with_fallback`] recovers from
-    ///    when the newest snapshot turns out corrupt);
-    /// 3. the temp file is renamed into place;
-    /// 4. the parent directory is fsynced, making the whole sequence
-    ///    durable.
-    ///
-    /// A power cut at *any* point leaves either the new snapshot, the
-    /// previous one at `path` or `path.prev`, or both — never only a
-    /// torn file.
+    /// the previous generation at `path.prev` as a fallback (the
+    /// last-good generation [`Checkpoint::load_with_fallback`] recovers
+    /// from when the newest snapshot turns out corrupt). See
+    /// [`save_rotating`] for the crash ordering.
     ///
     /// # Errors
     ///
@@ -1038,16 +1029,9 @@ impl Checkpoint {
         storage: &S,
         path: &Path,
     ) -> Result<(), CheckpointError> {
-        let tmp = sibling_tmp_path(path);
         let mut bytes = Vec::new();
         self.write_to(&mut bytes)?;
-        storage.write_file(&tmp, &bytes)?;
-        storage.sync(&tmp)?;
-        if storage.exists(path) {
-            storage.rename(path, &prev_path(path))?;
-        }
-        storage.rename(&tmp, path)?;
-        storage.sync_parent(path).map_err(CheckpointError::from)
+        save_rotating(storage, path, &bytes).map_err(CheckpointError::from)
     }
 
     /// Reads a checkpoint from `path`.
@@ -1151,10 +1135,39 @@ pub struct RecoveredCheckpoint {
     pub primary_error: Option<CheckpointError>,
 }
 
-pub(crate) fn sibling_tmp_path(path: &Path) -> PathBuf {
+/// Writes `bytes` to `path` durably and atomically, rotating an
+/// existing `path` to [`prev_path`] — the one crash-ordered save every
+/// snapshot writer (MCCK and MCCX checkpoints, live shard snapshots)
+/// goes through:
+///
+/// 1. the bytes land in a sibling `.tmp` file, which is fsynced;
+/// 2. an existing `path` is renamed to `path.prev`;
+/// 3. the temp file is renamed into place;
+/// 4. the parent directory is fsynced, making the whole sequence
+///    durable.
+///
+/// A power cut at *any* point leaves either the new snapshot, the
+/// previous one at `path` or `path.prev`, or both — never only a torn
+/// file.
+///
+/// # Errors
+///
+/// Any storage failure (including injected ones).
+pub fn save_rotating<S: Storage + ?Sized>(
+    storage: &S,
+    path: &Path,
+    bytes: &[u8],
+) -> io::Result<()> {
     let mut name = path.file_name().unwrap_or_default().to_os_string();
     name.push(".tmp");
-    path.with_file_name(name)
+    let tmp = path.with_file_name(name);
+    storage.write_file(&tmp, bytes)?;
+    storage.sync(&tmp)?;
+    if storage.exists(path) {
+        storage.rename(path, &prev_path(path))?;
+    }
+    storage.rename(&tmp, path)?;
+    storage.sync_parent(path)
 }
 
 /// The rotated last-good sibling of a snapshot path (`x.ckpt` ↔

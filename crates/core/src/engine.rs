@@ -4,30 +4,213 @@
 //! implementation — hash-mapped tables, one state transition at a time,
 //! written for auditability against the paper. [`FastEngine`] is the
 //! hot path: dense struct-of-arrays block tables behind an
-//! open-addressing index, with batched observability emission. Both
-//! implement [`Engine`], and [`AnyEngine`] packages the choice as a
-//! runtime value so `DirectorySim`, the sharded runner, resumable runs
-//! and the bench bins can select either with one knob.
+//! open-addressing index. Both implement [`Engine`], and [`AnyEngine`]
+//! packages the choice as a runtime value so `DirectorySim`, the
+//! sharded runner, resumable runs and the bench bins can select either
+//! with one knob.
 //!
 //! The two engines are kept bit-exact: same `SimResult`, same message
 //! counters, same event stream, same errors (see
-//! `tests/fast_engine_parity.rs` and DESIGN.md §13). Checkpoints are
-//! interchangeable because both sides convert through the same
-//! [`EngineSnapshot`].
+//! `tests/fast_engine_parity.rs` and DESIGN.md §13). Only their
+//! Figure 3 transitions (`hit`/`miss`) are written twice, once per table
+//! layout. Everything around them is written once: the [`Ledger`] both
+//! engines keep holds the step counter, the tallies, the fault injector
+//! and the sink, and carries the one event path and fault-delivery
+//! adapter; the transaction-shape rule and the delivery loop live in
+//! [`faults`](crate::faults). Checkpoints are interchangeable because
+//! both sides convert through the same [`EngineSnapshot`].
 
 use mcc_cache::CacheConfig;
-use mcc_obs::{Event as ObsEvent, SharedSink};
+use mcc_obs::{Event as ObsEvent, Rule, SharedSink};
 use mcc_placement::PagePlacement;
 use mcc_trace::{BlockAddr, MemRef, NodeId};
 
 use crate::checkpoint::EngineSnapshot;
-use crate::directory::DirEntry;
+use crate::directory::{DirEntry, Reclassification};
 use crate::error::{SimError, Violation};
 use crate::fast::FastEngine;
-use crate::faults::FaultPlan;
+use crate::faults::{FaultInjector, FaultPlan, TransactionShape};
+use crate::msg::MessageCount;
 use crate::policy::Protocol;
 use crate::result::{EventCounts, MessageBreakdown, SimResult};
-use crate::sim::{DirectoryEngine, DirectorySimConfig, LineState, StepInfo};
+use crate::sim::{DirectoryEngine, DirectorySimConfig, LineState, StepInfo, StepKind};
+
+/// The node's zero-based index in the observability event vocabulary
+/// (`mcc_obs` speaks raw `u16`s so it needs no trace types).
+pub(crate) const fn obs_node(n: NodeId) -> u16 {
+    n.index() as u16
+}
+
+/// What both engines keep beside their block tables — the step
+/// counter, the message and event tallies, the fault injector and the
+/// observability sink — and the machinery written once over it.
+///
+/// Every in-step event goes straight to the sink, in the order the
+/// engine performs the transitions it describes. No protocol decision
+/// reads the sink, so attaching one cannot perturb results, and with
+/// none attached each emission is a single branch.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Ledger {
+    /// References processed so far (including the one in flight).
+    pub(crate) steps: u64,
+    pub(crate) messages: MessageBreakdown,
+    pub(crate) events: EventCounts,
+    /// Interconnect fault injector; `None` models a reliable fabric.
+    pub(crate) faults: Option<FaultInjector>,
+    pub(crate) sink: Option<SharedSink>,
+}
+
+impl Ledger {
+    /// The ledger a snapshot captured, its fault stream resumed under
+    /// the run's `faults` plan. Snapshots exclude sinks.
+    pub(crate) fn from_snapshot(
+        snap: &EngineSnapshot,
+        faults: Option<FaultPlan>,
+    ) -> Result<Ledger, String> {
+        let faults = match (faults, snap.injector_rng) {
+            (Some(plan), Some(state)) => Some(FaultInjector::resume(plan, state)),
+            (None, None) => None,
+            (Some(_), None) => {
+                return Err("run has a fault plan but the snapshot captured no injector".into())
+            }
+            (None, Some(_)) => {
+                return Err("snapshot captured a fault injector but the run has no plan".into())
+            }
+        };
+        Ok(Ledger {
+            steps: snap.steps,
+            messages: snap.messages,
+            events: snap.events,
+            faults,
+            sink: None,
+        })
+    }
+
+    /// Emits `event` into the attached sink, if any.
+    pub(crate) fn emit(&self, event: &ObsEvent) {
+        if let Some(sink) = &self.sink {
+            sink.emit(event);
+        }
+    }
+
+    /// Runs the transaction `shape` through the fault injector (see
+    /// [`FaultInjector::deliver`]) and returns the units it waited.
+    /// Engines call this only when a fault plan is attached, computing
+    /// `shape` with [`TransactionShape::of`]; `None` (no transaction)
+    /// never touches the fabric.
+    pub(crate) fn deliver(
+        &mut self,
+        block: BlockAddr,
+        node: NodeId,
+        shape: Option<TransactionShape>,
+    ) -> Result<u64, SimError> {
+        let (Some(injector), Some(shape)) = (&mut self.faults, shape) else {
+            return Ok(0);
+        };
+        let sink = &self.sink;
+        injector.deliver(
+            shape,
+            (self.steps, block, node),
+            &mut self.messages,
+            &mut self.events,
+            |event| {
+                if let Some(sink) = sink {
+                    sink.emit(event);
+                }
+            },
+        )
+    }
+
+    /// Tallies a reclassification and, when the block actually flipped,
+    /// emits the promote/demote event tagged with the §2 detection
+    /// `rule` that was consulted and the `node` whose reference
+    /// triggered it.
+    pub(crate) fn reclassified(
+        &mut self,
+        rc: Reclassification,
+        block: BlockAddr,
+        node: NodeId,
+        rule: Rule,
+    ) {
+        let (step, block, node) = (self.steps, block.index(), obs_node(node));
+        match rc {
+            Reclassification::Unchanged => {}
+            Reclassification::BecameMigratory => {
+                self.events.became_migratory += 1;
+                self.emit(&ObsEvent::Promote {
+                    step,
+                    block,
+                    node,
+                    rule,
+                });
+            }
+            Reclassification::BecameOther => {
+                self.events.became_other += 1;
+                self.emit(&ObsEvent::Demote {
+                    step,
+                    block,
+                    node,
+                    rule,
+                });
+            }
+        }
+    }
+
+    /// Tallies and emits the invalidation of `node`'s copy of `block`.
+    pub(crate) fn invalidated(&mut self, block: BlockAddr, node: NodeId) {
+        self.events.invalidations += 1;
+        if self.sink.is_some() {
+            self.emit(&ObsEvent::Invalidation {
+                step: self.steps,
+                block: block.index(),
+                node: obs_node(node),
+            });
+        }
+    }
+
+    /// Closes a step by `node` on `block`: its outcome, with the
+    /// critical-path messages charged since `before` (fault overhead is
+    /// charged as `backoff_units` instead), and its `Step` event.
+    pub(crate) fn stepped(
+        &self,
+        block: BlockAddr,
+        node: NodeId,
+        home: NodeId,
+        kind: StepKind,
+        before: MessageCount,
+        backoff_units: u64,
+    ) -> StepInfo {
+        let after = self.messages.critical_path();
+        let info = StepInfo {
+            kind,
+            home,
+            messages: MessageCount::new(after.control - before.control, after.data - before.data),
+            backoff_units,
+        };
+        if self.sink.is_some() {
+            self.emit(&ObsEvent::Step {
+                step: self.steps,
+                block: block.index(),
+                node: obs_node(node),
+                kind: kind.obs(),
+                control: info.messages.control,
+                data: info.messages.data,
+            });
+        }
+        info
+    }
+
+    /// The run's tally under `protocol`.
+    pub(crate) fn finish(self, protocol: Protocol) -> SimResult {
+        let result = SimResult {
+            protocol,
+            messages: self.messages,
+            events: self.events,
+        };
+        result.debug_assert_consistent();
+        result
+    }
+}
 
 /// Which engine implementation a run uses.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -287,11 +470,9 @@ impl AnyEngine {
     /// Subjects every demand transaction to the unreliable-interconnect
     /// model described by `plan`.
     #[must_use]
-    pub fn with_faults(self, plan: FaultPlan) -> Self {
-        match self {
-            AnyEngine::Reference(e) => AnyEngine::Reference(e.with_faults(plan)),
-            AnyEngine::Fast(e) => AnyEngine::Fast(e.with_faults(plan)),
-        }
+    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
+        dispatch!(&mut self, e => e.ledger.faults = Some(FaultInjector::new(plan)));
+        self
     }
 
     /// Attaches an observability sink.
@@ -305,7 +486,7 @@ impl AnyEngine {
     /// framing (shard / checkpoint lifecycle events) that happens
     /// between steps.
     pub(crate) fn emit_obs(&self, event: &ObsEvent) {
-        dispatch!(self, e => e.emit_obs(event))
+        dispatch!(self, e => e.ledger.emit(event))
     }
 
     /// Overwrites the version tag of a resident line (testing hook; see

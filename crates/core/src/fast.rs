@@ -25,31 +25,33 @@
 //! are all `Shared`; a single holder's state is stored in two flag
 //! bits.
 //!
-//! Observability events are batched into a pending buffer and flushed
-//! once per step (on both success and error exits), preserving the
-//! reference engine's emission order.
+//! Only the Figure 3 transitions (`hit`/`miss`) are written for the
+//! dense rows. Everything around them is the reference engine's own
+//! code: the shared `Ledger` (`engine.rs`) emits each event inline as
+//! the transition it describes happens, exactly as the reference engine
+//! does, and fault delivery goes through the same
+//! [`TransactionShape`] rule and
+//! [`FaultInjector`](crate::FaultInjector) delivery loop.
 //!
 //! The engine requires [`CacheConfig::Infinite`](mcc_cache::CacheConfig)
 //! — dense tables model residency per block, not per cache set —
 //! which [`AnyEngine::new`](crate::AnyEngine::new) enforces by falling
 //! back to the reference engine for finite caches.
 
-use mcc_obs::{Event as ObsEvent, Rule, SharedSink};
+use mcc_obs::{Rule, SharedSink};
 use mcc_placement::PagePlacement;
 use mcc_trace::{BlockAddr, BlockSize, MemOp, MemRef, NodeId};
 
 use crate::checkpoint::EngineSnapshot;
 use crate::directory::{CopiesCreated, CopySet, DirEntry, ReadMissAction, Reclassification};
-use crate::engine::Engine;
+use crate::engine::{Engine, Ledger};
 use crate::error::{SimError, Violation, ViolationKind};
-use crate::faults::{
-    jittered_backoff_units, AttemptOutcome, FaultInjector, FaultPlan, TransactionShape,
-};
-use crate::msg::{charge, MessageCount, OpKind};
+use crate::faults::{FaultPlan, TransactionShape};
+use crate::msg::{charge, OpKind};
 use crate::policy::{AdaptivePolicy, Protocol};
 use crate::repr::DirectoryRepr;
 use crate::result::{EventCounts, MessageBreakdown, SimResult};
-use crate::sim::{obs_node, DirectorySimConfig, LineState, StepInfo, StepKind, NEVER_ADAPT};
+use crate::sim::{DirectorySimConfig, LineState, StepInfo, StepKind, NEVER_ADAPT};
 
 // Packed per-block flag word layout (16 bits used):
 //   bit 0      directory dirty bit
@@ -151,14 +153,8 @@ pub struct FastEngine {
     mem_version: Vec<u64>,
     latest: Vec<u64>,
     rwitm: bool,
-    faults: Option<FaultInjector>,
-    steps: u64,
-    messages: MessageBreakdown,
-    events: EventCounts,
-    sink: Option<SharedSink>,
-    /// Events buffered during the current step, flushed once at every
-    /// exit of `try_step`. Only filled while a sink is attached.
-    pending: Vec<ObsEvent>,
+    /// Step counter, tallies, fault injector and sink.
+    pub(crate) ledger: Ledger,
 }
 
 impl FastEngine {
@@ -190,33 +186,12 @@ impl FastEngine {
             mem_version: Vec::new(),
             latest: Vec::new(),
             rwitm: false,
-            faults: None,
-            steps: 0,
-            messages: MessageBreakdown::default(),
-            events: EventCounts::default(),
-            sink: None,
-            pending: Vec::new(),
+            ledger: Ledger::default(),
         }
-    }
-
-    /// Subjects every demand transaction to the unreliable-interconnect
-    /// model described by `plan`.
-    #[must_use]
-    pub(crate) fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(FaultInjector::new(plan));
-        self
     }
 
     pub(crate) fn set_sink(&mut self, sink: Option<SharedSink>) {
-        self.sink = sink;
-    }
-
-    /// Emits `event` immediately (run framing between steps; in-step
-    /// events go through the pending buffer instead).
-    pub(crate) fn emit_obs(&self, event: &ObsEvent) {
-        if let Some(sink) = &self.sink {
-            sink.emit(event);
-        }
+        self.ledger.sink = sink;
     }
 
     // ---- index ----------------------------------------------------
@@ -359,247 +334,36 @@ impl FastEngine {
                 nodes: self.nodes,
             });
         }
-        self.steps += 1;
-        let result = self.step_inner(r.node, block, r.op);
-        // Flush on both exits: the reference engine emits fault events
-        // before reporting a delivery error, so the buffered stream
-        // must survive the error path too.
-        self.flush_pending();
-        result
-    }
-
-    fn step_inner(&mut self, n: NodeId, block: BlockAddr, op: MemOp) -> Result<StepInfo, SimError> {
+        self.ledger.steps += 1;
+        let (n, op) = (r.node, r.op);
         let slot = self.lookup(block);
         let home = match slot {
             Some(s) => self.home[s],
             None => self.placement.home_of_block(block, self.block_size),
         };
-        let backoff = self.deliver_transaction(n, block, home, op)?;
-        let before = self.critical_path_messages();
+        let backoff = if self.ledger.faults.is_none() {
+            0
+        } else {
+            // Reads the rows without creating a slot, as the reference
+            // engine reads its directory without creating an entry.
+            let shape = TransactionShape::of(
+                r,
+                home,
+                self.rwitm,
+                slot.filter(|&s| self.copyset[s].contains(n))
+                    .map(|s| self.holder_state(s)),
+                slot.map(|s| (self.dirty_at(s), &self.copyset[s], self.overflowed_at(s))),
+                self.repr,
+                self.nodes,
+            );
+            self.ledger.deliver(block, n, shape)?
+        };
+        let before = self.ledger.messages.critical_path();
         let kind = match slot {
             Some(s) if self.copyset[s].contains(n) => self.hit(s, n, block, home, op)?,
             _ => self.miss(slot, n, block, home, op)?,
         };
-        let after = self.critical_path_messages();
-        let info = StepInfo {
-            kind,
-            home,
-            messages: MessageCount::new(after.control - before.control, after.data - before.data),
-            backoff_units: backoff,
-        };
-        if self.sink.is_some() {
-            self.pending.push(ObsEvent::Step {
-                step: self.steps,
-                block: block.index(),
-                node: obs_node(n),
-                kind: kind.obs(),
-                control: info.messages.control,
-                data: info.messages.data,
-            });
-        }
-        Ok(info)
-    }
-
-    fn flush_pending(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        if let Some(sink) = &self.sink {
-            for event in &self.pending {
-                sink.emit(event);
-            }
-        }
-        self.pending.clear();
-    }
-
-    fn critical_path_messages(&self) -> MessageCount {
-        self.messages.read_miss + self.messages.write_miss + self.messages.write_hit
-    }
-
-    /// Fault-injection replay; mirrors the reference engine's
-    /// `deliver_transaction` exactly, buffering fault events instead of
-    /// emitting them inline.
-    fn deliver_transaction(
-        &mut self,
-        n: NodeId,
-        block: BlockAddr,
-        home: NodeId,
-        op: MemOp,
-    ) -> Result<u64, SimError> {
-        if self.faults.is_none() {
-            return Ok(0);
-        }
-        let Some(shape) = self.transaction_shape(n, block, home, op) else {
-            return Ok(0);
-        };
-        let has_sink = self.sink.is_some();
-        let step = self.steps;
-        let (ob, on) = (block.index(), obs_node(n));
-        let plan = *self.faults.as_ref().expect("checked is_none above").plan();
-        let mut attempt = 0u32;
-        let mut backoff_total = 0u64;
-        loop {
-            let report = self
-                .faults
-                .as_mut()
-                .expect("checked is_none above")
-                .attempt(shape);
-            backoff_total += report.delay_units;
-            match report.outcome {
-                AttemptOutcome::Delivered => {
-                    self.messages.retries += report.wasted;
-                    break;
-                }
-                AttemptOutcome::Delayed => {
-                    self.messages.retries += report.wasted;
-                    if backoff_total > plan.max_total_backoff {
-                        return Err(SimError::Livelock {
-                            block,
-                            node: n,
-                            backoff_units: backoff_total,
-                            step: self.steps,
-                        });
-                    }
-                    continue;
-                }
-                AttemptOutcome::Dropped => {
-                    self.messages.retries += report.wasted;
-                    self.events.retries += 1;
-                    if has_sink {
-                        self.pending.push(ObsEvent::Retry {
-                            step,
-                            block: ob,
-                            node: on,
-                            attempt: attempt + 1,
-                        });
-                    }
-                }
-                AttemptOutcome::Nacked => {
-                    self.messages.nacks += report.wasted;
-                    self.events.nacks += 1;
-                    self.events.retries += 1;
-                    if has_sink {
-                        self.pending.push(ObsEvent::Nack {
-                            step,
-                            block: ob,
-                            node: on,
-                            attempt: attempt + 1,
-                        });
-                        self.pending.push(ObsEvent::Retry {
-                            step,
-                            block: ob,
-                            node: on,
-                            attempt: attempt + 1,
-                        });
-                    }
-                }
-            }
-            if attempt >= plan.max_retries {
-                return Err(SimError::RetryExhausted {
-                    block,
-                    node: n,
-                    attempts: attempt + 1,
-                    step: self.steps,
-                });
-            }
-            backoff_total += jittered_backoff_units(plan.seed, self.steps, attempt);
-            if backoff_total > plan.max_total_backoff {
-                return Err(SimError::Livelock {
-                    block,
-                    node: n,
-                    backoff_units: backoff_total,
-                    step: self.steps,
-                });
-            }
-            attempt += 1;
-        }
-        if backoff_total > 0 && has_sink {
-            self.pending.push(ObsEvent::Backoff {
-                step,
-                block: ob,
-                node: on,
-                units: backoff_total,
-            });
-        }
-        self.events.backoff_units += backoff_total;
-        Ok(backoff_total)
-    }
-
-    /// The wire shape of the transaction this reference would issue;
-    /// mirrors the reference engine's `transaction_shape`. Never
-    /// creates a slot: the reference version only reads the directory.
-    fn transaction_shape(
-        &self,
-        n: NodeId,
-        block: BlockAddr,
-        home: NodeId,
-        op: MemOp,
-    ) -> Option<TransactionShape> {
-        let local = home == n;
-        let slot = self.lookup(block);
-        let resident = slot.is_some_and(|s| self.copyset[s].contains(n));
-        if resident {
-            let s = slot.expect("resident implies a slot");
-            match op {
-                MemOp::Read => None,
-                MemOp::Write => match self.holder_state(s) {
-                    LineState::Dirty | LineState::MigratoryClean => None,
-                    LineState::Exclusive => {
-                        let msgs = charge(OpKind::WriteHit, local, false, 0);
-                        (msgs.total() > 0).then_some(TransactionShape {
-                            has_data_response: false,
-                            invalidations: 0,
-                        })
-                    }
-                    LineState::Shared => {
-                        let dc = self.repr.charged_distant_copies(
-                            &self.copyset[s],
-                            self.overflowed_at(s),
-                            n,
-                            home,
-                            self.nodes,
-                        );
-                        let msgs = charge(OpKind::WriteHit, local, false, dc);
-                        (msgs.total() > 0).then_some(TransactionShape {
-                            has_data_response: false,
-                            invalidations: dc,
-                        })
-                    }
-                },
-            }
-        } else {
-            let (dirty, dc) = match slot {
-                Some(s) => {
-                    let dirty = self.dirty_at(s);
-                    (
-                        dirty,
-                        if dirty {
-                            self.copyset[s].distant_count(n, home)
-                        } else {
-                            self.repr.charged_distant_copies(
-                                &self.copyset[s],
-                                self.overflowed_at(s),
-                                n,
-                                home,
-                                self.nodes,
-                            )
-                        },
-                    )
-                }
-                None => (false, 0),
-            };
-            let write_like = matches!(op, MemOp::Write) || self.rwitm;
-            let kind = if write_like {
-                OpKind::WriteMiss
-            } else {
-                OpKind::ReadMiss
-            };
-            let msgs = charge(kind, local, dirty, dc);
-            (msgs.total() > 0).then_some(TransactionShape {
-                has_data_response: msgs.data > 0,
-                invalidations: if write_like { dc } else { 0 },
-            })
-        }
+        Ok(self.ledger.stepped(block, n, home, kind, before, backoff))
     }
 
     fn hit(
@@ -617,24 +381,25 @@ impl FastEngine {
         self.observe(slot, block, version, "cache hit")?;
         Ok(match op {
             MemOp::Read => {
-                self.events.read_hits += 1;
+                self.ledger.events.read_hits += 1;
                 StepKind::ReadHit
             }
             MemOp::Write => {
                 let kind = match state {
                     LineState::Dirty => {
-                        self.events.silent_write_hits += 1;
+                        self.ledger.events.silent_write_hits += 1;
                         StepKind::SilentWrite
                     }
                     LineState::MigratoryClean => {
-                        self.events.write_grants_used += 1;
+                        self.ledger.events.write_grants_used += 1;
                         self.flags[slot] |= F_DIRTY;
                         self.set_sstate(slot, LineState::Dirty);
                         StepKind::GrantedWrite
                     }
                     LineState::Exclusive => {
-                        self.events.exclusive_upgrades += 1;
-                        self.messages.write_hit += charge(OpKind::WriteHit, home == n, false, 0);
+                        self.ledger.events.exclusive_upgrades += 1;
+                        self.ledger.messages.write_hit +=
+                            charge(OpKind::WriteHit, home == n, false, 0);
                         let mut e = self.entry_at(slot);
                         let rc = if self.pure_migratory {
                             e.last_invalidator = Some(n);
@@ -644,12 +409,13 @@ impl FastEngine {
                             e.on_write_hit_clean_exclusive(self.policy, n)
                         };
                         self.store_entry(slot, e);
-                        self.record_reclass(rc, block, n, Rule::WriteHitCleanExclusive);
+                        self.ledger
+                            .reclassified(rc, block, n, Rule::WriteHitCleanExclusive);
                         self.set_sstate(slot, LineState::Dirty);
                         StepKind::ExclusiveUpgrade
                     }
                     LineState::Shared => {
-                        self.events.shared_upgrades += 1;
+                        self.ledger.events.shared_upgrades += 1;
                         let mut e = self.entry_at(slot);
                         let dc = self.repr.charged_distant_copies(
                             &e.copyset,
@@ -672,17 +438,17 @@ impl FastEngine {
                         e.overflowed = false;
                         self.store_entry(slot, e);
                         if was_overflowed {
-                            self.events.broadcast_invalidations += 1;
+                            self.ledger.events.broadcast_invalidations += 1;
                         }
-                        self.messages.write_hit += charge(OpKind::WriteHit, home == n, false, dc);
+                        self.ledger.messages.write_hit +=
+                            charge(OpKind::WriteHit, home == n, false, dc);
                         for m in others.iter() {
                             if m == n {
                                 continue;
                             }
-                            self.events.invalidations += 1;
-                            self.push_invalidation(block, m);
+                            self.ledger.invalidated(block, m);
                         }
-                        self.record_reclass(rc, block, n, Rule::WriteHitShared);
+                        self.ledger.reclassified(rc, block, n, Rule::WriteHitShared);
                         self.set_sstate(slot, LineState::Dirty);
                         StepKind::SharedUpgrade
                     }
@@ -725,9 +491,9 @@ impl FastEngine {
             copyset_before.single().is_some() && self.holder_state(slot) == LineState::Dirty;
         Ok(match op {
             MemOp::Read if self.rwitm => {
-                self.events.read_misses += 1;
-                self.events.migrations += 1;
-                self.messages.read_miss += charge(OpKind::WriteMiss, home == n, dirty, dc);
+                self.ledger.events.read_misses += 1;
+                self.ledger.events.migrations += 1;
+                self.ledger.messages.read_miss += charge(OpKind::WriteMiss, home == n, dirty, dc);
                 let mut served_from_owner = None;
                 for m in copyset_before.iter() {
                     if single_dirty {
@@ -735,8 +501,7 @@ impl FastEngine {
                         self.mem_version[slot] = v;
                         served_from_owner = Some(v);
                     }
-                    self.events.invalidations += 1;
-                    self.push_invalidation(block, m);
+                    self.ledger.invalidated(block, m);
                 }
                 let served = served_from_owner.unwrap_or(self.mem_version[slot]);
                 self.observe(slot, block, served, "read-with-ownership")?;
@@ -752,8 +517,8 @@ impl FastEngine {
                 StepKind::ReadMissMigrate
             }
             MemOp::Read => {
-                self.events.read_misses += 1;
-                self.messages.read_miss += charge(OpKind::ReadMiss, home == n, dirty, dc);
+                self.ledger.events.read_misses += 1;
+                self.ledger.messages.read_miss += charge(OpKind::ReadMiss, home == n, dirty, dc);
                 let (action, rc) = if pure && dirty {
                     (ReadMissAction::Migrate, Reclassification::Unchanged)
                 } else {
@@ -762,17 +527,16 @@ impl FastEngine {
                     self.store_entry(slot, e);
                     out
                 };
-                self.record_reclass(rc, block, n, Rule::ReadMiss);
+                self.ledger.reclassified(rc, block, n, Rule::ReadMiss);
                 match action {
                     ReadMissAction::Migrate => {
-                        self.events.migrations += 1;
+                        self.ledger.events.migrations += 1;
                         let served = if let Some(owner) = copyset_before.single() {
                             let v = self.line_version[slot];
                             if single_dirty {
                                 self.mem_version[slot] = v;
                             }
-                            self.events.invalidations += 1;
-                            self.push_invalidation(block, owner);
+                            self.ledger.invalidated(block, owner);
                             v
                         } else {
                             debug_assert!(copyset_before.is_empty());
@@ -789,7 +553,7 @@ impl FastEngine {
                         StepKind::ReadMissMigrate
                     }
                     ReadMissAction::Replicate => {
-                        self.events.replications += 1;
+                        self.ledger.events.replications += 1;
                         let mut served_from_owner = None;
                         if copyset_before.single().is_some() {
                             // Demote the exclusive holder to Shared in
@@ -823,8 +587,8 @@ impl FastEngine {
                 }
             }
             MemOp::Write => {
-                self.events.write_misses += 1;
-                self.messages.write_miss += charge(OpKind::WriteMiss, home == n, dirty, dc);
+                self.ledger.events.write_misses += 1;
+                self.ledger.messages.write_miss += charge(OpKind::WriteMiss, home == n, dirty, dc);
                 let mut served_from_owner = None;
                 for m in copyset_before.iter() {
                     if single_dirty {
@@ -832,13 +596,12 @@ impl FastEngine {
                         self.mem_version[slot] = v;
                         served_from_owner = Some(v);
                     }
-                    self.events.invalidations += 1;
-                    self.push_invalidation(block, m);
+                    self.ledger.invalidated(block, m);
                 }
                 let served = served_from_owner.unwrap_or(self.mem_version[slot]);
                 self.observe(slot, block, served, "write miss")?;
                 if was_overflowed {
-                    self.events.broadcast_invalidations += 1;
+                    self.ledger.events.broadcast_invalidations += 1;
                 }
                 let mut e = self.entry_at(slot);
                 let rc = if pure {
@@ -852,51 +615,13 @@ impl FastEngine {
                 e.copyset = CopySet::only(n);
                 e.overflowed = false;
                 self.store_entry(slot, e);
-                self.record_reclass(rc, block, n, Rule::WriteMiss);
+                self.ledger.reclassified(rc, block, n, Rule::WriteMiss);
                 self.latest[slot] += 1;
                 self.set_sstate(slot, LineState::Dirty);
                 self.line_version[slot] = self.latest[slot];
                 StepKind::WriteMiss
             }
         })
-    }
-
-    fn record_reclass(&mut self, rc: Reclassification, block: BlockAddr, node: NodeId, rule: Rule) {
-        match rc {
-            Reclassification::Unchanged => {}
-            Reclassification::BecameMigratory => {
-                self.events.became_migratory += 1;
-                if self.sink.is_some() {
-                    self.pending.push(ObsEvent::Promote {
-                        step: self.steps,
-                        block: block.index(),
-                        node: obs_node(node),
-                        rule,
-                    });
-                }
-            }
-            Reclassification::BecameOther => {
-                self.events.became_other += 1;
-                if self.sink.is_some() {
-                    self.pending.push(ObsEvent::Demote {
-                        step: self.steps,
-                        block: block.index(),
-                        node: obs_node(node),
-                        rule,
-                    });
-                }
-            }
-        }
-    }
-
-    fn push_invalidation(&mut self, block: BlockAddr, node: NodeId) {
-        if self.sink.is_some() {
-            self.pending.push(ObsEvent::Invalidation {
-                step: self.steps,
-                block: block.index(),
-                node: obs_node(node),
-            });
-        }
     }
 
     fn observe(
@@ -912,7 +637,7 @@ impl FastEngine {
         } else {
             Err(Violation {
                 block,
-                step: self.steps,
+                step: self.ledger.steps,
                 kind: ViolationKind::StaleRead { observed, latest },
                 context,
                 entry: Some(self.entry_at(slot)),
@@ -923,7 +648,7 @@ impl FastEngine {
     // ---- inspection -----------------------------------------------
 
     pub(crate) fn steps(&self) -> u64 {
-        self.steps
+        self.ledger.steps
     }
 
     pub(crate) fn protocol(&self) -> Protocol {
@@ -931,11 +656,11 @@ impl FastEngine {
     }
 
     pub(crate) fn messages(&self) -> MessageBreakdown {
-        self.messages
+        self.ledger.messages
     }
 
     pub(crate) fn events(&self) -> EventCounts {
-        self.events
+        self.ledger.events
     }
 
     pub(crate) fn line_state(&self, node: NodeId, block: BlockAddr) -> Option<LineState> {
@@ -1024,7 +749,7 @@ impl FastEngine {
             if self.dirty_at(slot) != any_dirty {
                 return Err(Violation {
                     block: self.blocks[slot],
-                    step: self.steps,
+                    step: self.ledger.steps,
                     kind: ViolationKind::DirtyBitMismatch,
                     context: sweep,
                     entry: Some(self.entry_at(slot)),
@@ -1033,7 +758,7 @@ impl FastEngine {
             if !any_dirty && self.mem_version[slot] != self.latest[slot] {
                 return Err(Violation {
                     block: self.blocks[slot],
-                    step: self.steps,
+                    step: self.ledger.steps,
                     kind: ViolationKind::StaleMemory {
                         memory: self.mem_version[slot],
                         latest: self.latest[slot],
@@ -1047,13 +772,7 @@ impl FastEngine {
     }
 
     pub(crate) fn finish(self) -> SimResult {
-        let result = SimResult {
-            protocol: self.protocol,
-            messages: self.messages,
-            events: self.events,
-        };
-        result.debug_assert_consistent();
-        result
+        self.ledger.finish(self.protocol)
     }
 
     // ---- snapshot conversion --------------------------------------
@@ -1100,10 +819,10 @@ impl FastEngine {
             .collect();
         EngineSnapshot {
             rwitm: self.rwitm,
-            steps: self.steps,
-            injector_rng: self.faults.as_ref().map(|f| f.rng_state()),
-            messages: self.messages,
-            events: self.events,
+            steps: self.ledger.steps,
+            injector_rng: self.ledger.faults.as_ref().map(|f| f.rng_state()),
+            messages: self.ledger.messages,
+            events: self.ledger.events,
             caches,
             dir,
             mem_version,
@@ -1189,19 +908,7 @@ impl FastEngine {
             }
         }
         engine.rwitm = snap.rwitm;
-        engine.steps = snap.steps;
-        engine.messages = snap.messages;
-        engine.events = snap.events;
-        engine.faults = match (faults, snap.injector_rng) {
-            (Some(plan), Some(state)) => Some(FaultInjector::resume(plan, state)),
-            (None, None) => None,
-            (Some(_), None) => {
-                return Err("run has a fault plan but the snapshot captured no injector".into())
-            }
-            (None, Some(_)) => {
-                return Err("snapshot captured a fault injector but the run has no plan".into())
-            }
-        };
+        engine.ledger = Ledger::from_snapshot(snap, faults)?;
         Ok(engine)
     }
 }
@@ -1290,6 +997,7 @@ impl Engine for FastEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::MessageCount;
     use mcc_trace::Addr;
 
     fn fast(protocol: Protocol) -> FastEngine {

@@ -22,10 +22,24 @@
 //! Everything is seeded: a [`FaultPlan`] carries an explicit seed and
 //! the injector draws from a private [`SplitMix64`] stream, so a run is
 //! bit-reproducible (no global RNG, no entropy).
+//!
+//! Both directory engines reach the fabric through the same two
+//! definitions here: [`TransactionShape::of`], the rule that says what a
+//! reference will send, and [`FaultInjector::deliver`], the
+//! retry/NACK/delay/backoff loop that charges a transaction's failed
+//! attempts.
 
+use mcc_obs::Event as ObsEvent;
 use mcc_prng::SplitMix64;
+use mcc_trace::{BlockAddr, MemOp, MemRef, NodeId};
 
-use crate::msg::MessageCount;
+use crate::directory::CopySet;
+use crate::engine::obs_node;
+use crate::error::SimError;
+use crate::msg::{charge, MessageCount, OpKind};
+use crate::repr::DirectoryRepr;
+use crate::result::{EventCounts, MessageBreakdown};
+use crate::sim::LineState;
 
 /// The classes of coherence message an unreliable fabric distinguishes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -219,6 +233,65 @@ pub struct TransactionShape {
     pub has_data_response: bool,
     /// Invalidation messages the home must fan out.
     pub invalidations: u64,
+}
+
+impl TransactionShape {
+    /// The transaction reference `r` sends, or `None` when it
+    /// completes without touching the interconnect (a hit with enough
+    /// permission, or work Table 1 charges nothing because the home is
+    /// local).
+    ///
+    /// Charges exactly what the engines' `hit`/`miss` will, without
+    /// mutating anything, so the injector rules on the transaction
+    /// *before* the state transition. It reads the requester's resident
+    /// line state (`None` on a miss) and the block's directory state as
+    /// `(dirty, copyset, overflowed)` (`None` before the block's first
+    /// reference); `rwitm` services a read miss with ownership.
+    pub(crate) fn of(
+        r: MemRef,
+        home: NodeId,
+        rwitm: bool,
+        resident: Option<LineState>,
+        entry: Option<(bool, &CopySet, bool)>,
+        repr: DirectoryRepr,
+        nodes: u16,
+    ) -> Option<TransactionShape> {
+        let (n, local) = (r.node, home == r.node);
+        let charged =
+            |copyset, overflowed| repr.charged_distant_copies(copyset, overflowed, n, home, nodes);
+        let Some(state) = resident else {
+            // A dirty block has a single, precisely known owner even
+            // under limited pointers.
+            let (dirty, dc) = match entry {
+                Some((true, copyset, _)) => (true, copyset.distant_count(n, home)),
+                Some((false, copyset, overflowed)) => (false, charged(copyset, overflowed)),
+                None => (false, 0),
+            };
+            let write_like = r.op == MemOp::Write || rwitm;
+            let kind = if write_like {
+                OpKind::WriteMiss
+            } else {
+                OpKind::ReadMiss
+            };
+            let msgs = charge(kind, local, dirty, dc);
+            return (msgs.total() > 0).then_some(TransactionShape {
+                has_data_response: msgs.data > 0,
+                invalidations: if write_like { dc } else { 0 },
+            });
+        };
+        let dc = match (r.op, state) {
+            (MemOp::Read, _) | (_, LineState::Dirty | LineState::MigratoryClean) => return None,
+            (MemOp::Write, LineState::Exclusive) => 0,
+            (MemOp::Write, LineState::Shared) => {
+                let (_, copyset, overflowed) = entry?;
+                charged(copyset, overflowed)
+            }
+        };
+        (charge(OpKind::WriteHit, local, false, dc).total() > 0).then_some(TransactionShape {
+            has_data_response: false,
+            invalidations: dc,
+        })
+    }
 }
 
 /// How one delivery attempt ended.
@@ -438,6 +511,113 @@ impl FaultInjector {
             wasted: duplicates + stale,
             delay_units: 0,
         }
+    }
+
+    /// Delivers one transaction of `shape`, sent by `node` for `block`
+    /// at engine step `step`: replays [`attempt`](Self::attempt)s until
+    /// one delivers or the plan's budgets run out, charging the wasted
+    /// traffic to `messages`, tallying NACKs, retries and backoff in
+    /// `events`, and narrating each failed attempt and the total wait
+    /// through `emit`. Returns the backoff and delay units the
+    /// reference waited.
+    ///
+    /// Faults never touch protocol state: the engine performs the state
+    /// transition (and the ordinary Table 1 charge) only after this
+    /// returns `Ok`.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::RetryExhausted`] when `max_retries + 1` attempts all
+    /// fail, and [`SimError::Livelock`] once the cumulative wait passes
+    /// `max_total_backoff`.
+    pub(crate) fn deliver(
+        &mut self,
+        shape: TransactionShape,
+        (step, block, node): (u64, BlockAddr, NodeId),
+        messages: &mut MessageBreakdown,
+        events: &mut EventCounts,
+        mut emit: impl FnMut(&ObsEvent),
+    ) -> Result<u64, SimError> {
+        let plan = self.plan;
+        let (ob, on) = (block.index(), obs_node(node));
+        let livelock = |backoff_units| SimError::Livelock {
+            block,
+            node,
+            backoff_units,
+            step,
+        };
+        let mut attempt = 0u32;
+        let mut backoff_total = 0u64;
+        loop {
+            let report = self.attempt(shape);
+            backoff_total += report.delay_units;
+            match report.outcome {
+                AttemptOutcome::Delivered => {
+                    messages.retries += report.wasted;
+                    break;
+                }
+                AttemptOutcome::Delayed => {
+                    // A message is parked in flight: wait out the delay
+                    // (already added to `backoff_total`) and poll again.
+                    // Not a resend, so it costs no retry and does not
+                    // consume the retry budget — but the livelock
+                    // watchdog still bounds the cumulative wait.
+                    messages.retries += report.wasted;
+                    if backoff_total > plan.max_total_backoff {
+                        return Err(livelock(backoff_total));
+                    }
+                    continue;
+                }
+                AttemptOutcome::Dropped => {
+                    messages.retries += report.wasted;
+                    events.retries += 1;
+                }
+                AttemptOutcome::Nacked => {
+                    messages.nacks += report.wasted;
+                    events.nacks += 1;
+                    events.retries += 1;
+                    emit(&ObsEvent::Nack {
+                        step,
+                        block: ob,
+                        node: on,
+                        attempt: attempt + 1,
+                    });
+                }
+            }
+            emit(&ObsEvent::Retry {
+                step,
+                block: ob,
+                node: on,
+                attempt: attempt + 1,
+            });
+            if attempt >= plan.max_retries {
+                return Err(SimError::RetryExhausted {
+                    block,
+                    node,
+                    attempts: attempt + 1,
+                    step,
+                });
+            }
+            // Jittered exponential backoff (salted with the step
+            // counter): deterministic and resume-safe, but two
+            // transactions that fail in lockstep no longer retry in
+            // lockstep.
+            backoff_total += jittered_backoff_units(plan.seed, step, attempt);
+            if backoff_total > plan.max_total_backoff {
+                return Err(livelock(backoff_total));
+            }
+            attempt += 1;
+        }
+        if backoff_total > 0 {
+            emit(&ObsEvent::Backoff {
+                step,
+                block: ob,
+                node: on,
+                units: backoff_total,
+            });
+        }
+        events.backoff_units += backoff_total;
+        Ok(backoff_total)
     }
 }
 
@@ -691,6 +871,278 @@ mod tests {
         for _ in 0..500 {
             assert_eq!(a.attempt(SHAPE), b.attempt(SHAPE));
         }
+    }
+
+    /// The reference every delivery test makes: step 7, block 3,
+    /// node 1.
+    const AT: (u64, BlockAddr, NodeId) = (7, BlockAddr::new(3), NodeId::new(1));
+
+    /// What one [`FaultInjector::deliver`] call charged and narrated.
+    struct Delivery {
+        result: Result<u64, SimError>,
+        messages: MessageBreakdown,
+        events: EventCounts,
+        emitted: Vec<ObsEvent>,
+    }
+
+    fn deliver(plan: FaultPlan) -> Delivery {
+        let mut messages = MessageBreakdown::default();
+        let mut events = EventCounts::default();
+        let mut emitted = Vec::new();
+        let result = FaultInjector::new(plan).deliver(
+            SHAPE,
+            AT,
+            &mut messages,
+            &mut events,
+            |e: &ObsEvent| emitted.push(*e),
+        );
+        Delivery {
+            result,
+            messages,
+            events,
+            emitted,
+        }
+    }
+
+    fn certain_nack(max_retries: u32) -> FaultPlan {
+        FaultPlan {
+            request: FaultRates {
+                nack_ppm: 1_000_000,
+                ..FaultRates::RELIABLE
+            },
+            max_retries,
+            ..FaultPlan::reliable(21)
+        }
+    }
+
+    /// The backoff the loop waits after failed attempts `0..attempts`.
+    fn backoff_sum(plan: &FaultPlan, attempts: u32) -> u64 {
+        (0..attempts)
+            .map(|a| jittered_backoff_units(plan.seed, AT.0, a))
+            .sum()
+    }
+
+    #[test]
+    fn certain_nack_exhausts_the_retry_budget() {
+        let plan = certain_nack(4);
+        let d = deliver(plan);
+        let (step, block, node) = AT;
+        assert_eq!(
+            d.result,
+            Err(SimError::RetryExhausted {
+                block,
+                node,
+                attempts: plan.max_retries + 1,
+                step,
+            })
+        );
+        // Every attempt wastes the request and the NACK reply.
+        let attempts = u64::from(plan.max_retries) + 1;
+        assert_eq!(d.messages.nacks, MessageCount::new(2 * attempts, 0));
+        assert_eq!(d.messages.retries, MessageCount::ZERO);
+        assert_eq!(d.events.nacks, attempts);
+        assert_eq!(d.events.retries, attempts);
+        // A failed transaction charges no backoff and emits no Backoff.
+        assert_eq!(d.events.backoff_units, 0);
+        let (b, n) = (block.index(), obs_node(node));
+        let expected: Vec<ObsEvent> = (1..=plan.max_retries + 1)
+            .flat_map(|attempt| {
+                [
+                    ObsEvent::Nack {
+                        step,
+                        block: b,
+                        node: n,
+                        attempt,
+                    },
+                    ObsEvent::Retry {
+                        step,
+                        block: b,
+                        node: n,
+                        attempt,
+                    },
+                ]
+            })
+            .collect();
+        assert_eq!(d.emitted, expected);
+    }
+
+    #[test]
+    fn nack_backoff_is_the_sum_of_the_jittered_schedule() {
+        // The same certain-NACK fabric with the watchdog set one unit
+        // below the whole schedule: it fires on the last backoff and
+        // reports exactly the sum the loop waited.
+        let mut plan = certain_nack(4);
+        let total = backoff_sum(&plan, plan.max_retries);
+        plan.max_total_backoff = total - 1;
+        let d = deliver(plan);
+        let (step, block, node) = AT;
+        assert_eq!(
+            d.result,
+            Err(SimError::Livelock {
+                block,
+                node,
+                backoff_units: total,
+                step,
+            })
+        );
+        assert_eq!(d.events.nacks, u64::from(plan.max_retries));
+        // With the watchdog one unit higher the budget is exhausted
+        // instead: the sum is exact, not a bound.
+        plan.max_total_backoff = total;
+        assert!(matches!(
+            deliver(plan).result,
+            Err(SimError::RetryExhausted { .. })
+        ));
+    }
+
+    #[test]
+    fn certain_delay_trips_the_livelock_watchdog() {
+        let mut plan = FaultPlan {
+            request: FaultRates {
+                delay_ppm: 1_000_000,
+                ..FaultRates::RELIABLE
+            },
+            invalidation: FaultRates {
+                delay_ppm: 1_000_000,
+                ..FaultRates::RELIABLE
+            },
+            response: FaultRates {
+                delay_ppm: 1_000_000,
+                ..FaultRates::RELIABLE
+            },
+            ..FaultPlan::reliable(5)
+        };
+        plan.max_total_backoff = 3;
+        // Every message of the shape parks once; the waits accumulate
+        // until the first one that passes the watchdog.
+        let mut twin = FaultInjector::new(plan);
+        let mut waited = 0;
+        while waited <= plan.max_total_backoff {
+            let report = twin.attempt(SHAPE);
+            assert_eq!(report.outcome, AttemptOutcome::Delayed);
+            waited += report.delay_units;
+        }
+        let d = deliver(plan);
+        let (step, block, node) = AT;
+        assert_eq!(
+            d.result,
+            Err(SimError::Livelock {
+                block,
+                node,
+                backoff_units: waited,
+                step,
+            })
+        );
+        // Waiting out a delay is not a resend.
+        assert_eq!(d.events.retries, 0);
+        assert_eq!(d.messages.overhead(), MessageCount::ZERO);
+        assert!(d.emitted.is_empty());
+    }
+
+    #[test]
+    fn delivery_after_drops_emits_one_backoff_with_the_summed_units() {
+        let drops_before_delivery = |plan: FaultPlan| {
+            let mut twin = FaultInjector::new(plan);
+            (0..)
+                .find(|_| twin.attempt(SHAPE).outcome == AttemptOutcome::Delivered)
+                .expect("delivers eventually")
+        };
+        // A coin-flip request drop, on the first seed whose transaction
+        // drops at least twice and then delivers within the budget.
+        let plan = (0..)
+            .map(|seed| FaultPlan {
+                request: FaultRates {
+                    drop_ppm: 500_000,
+                    ..FaultRates::RELIABLE
+                },
+                ..FaultPlan::reliable(seed)
+            })
+            .find(|&plan| (2..=plan.max_retries).contains(&drops_before_delivery(plan)))
+            .expect("some seed drops twice");
+        let drops = drops_before_delivery(plan);
+        let units = backoff_sum(&plan, drops);
+        let d = deliver(plan);
+        assert_eq!(d.result, Ok(units));
+        // Each drop loses the request alone.
+        assert_eq!(d.messages.retries, MessageCount::new(u64::from(drops), 0));
+        assert_eq!(d.messages.nacks, MessageCount::ZERO);
+        assert_eq!(d.events.retries, u64::from(drops));
+        assert_eq!(d.events.backoff_units, units);
+        let (step, block, node) = AT;
+        let (b, n) = (block.index(), obs_node(node));
+        let mut expected: Vec<ObsEvent> = (1..=drops)
+            .map(|attempt| ObsEvent::Retry {
+                step,
+                block: b,
+                node: n,
+                attempt,
+            })
+            .collect();
+        expected.push(ObsEvent::Backoff {
+            step,
+            block: b,
+            node: n,
+            units,
+        });
+        assert_eq!(d.emitted, expected);
+    }
+
+    #[test]
+    fn shape_charges_what_the_transition_will() {
+        let (n, other, home) = (NodeId::new(1), NodeId::new(2), NodeId::new(0));
+        let copyset = |nodes: &[NodeId]| {
+            let mut c = CopySet::new();
+            for &m in nodes {
+                c.insert(m);
+            }
+            c
+        };
+        let shape = |op, resident, entry| {
+            let r = MemRef::new(n, op, mcc_trace::Addr::new(0));
+            TransactionShape::of(r, home, false, resident, entry, DirectoryRepr::FullMap, 4)
+        };
+        let request_only = |invalidations| TransactionShape {
+            has_data_response: false,
+            invalidations,
+        };
+        // Hits with permission, and reads that hit, never reach the wire.
+        for state in [LineState::Dirty, LineState::MigratoryClean] {
+            assert_eq!(shape(MemOp::Write, Some(state), None), None);
+        }
+        assert_eq!(shape(MemOp::Read, Some(LineState::Shared), None), None);
+        // An exclusive upgrade asks the remote home for permission.
+        assert_eq!(
+            shape(MemOp::Write, Some(LineState::Exclusive), None),
+            Some(request_only(0))
+        );
+        // A shared upgrade invalidates the other distant holder.
+        let both = copyset(&[n, other]);
+        assert_eq!(
+            shape(
+                MemOp::Write,
+                Some(LineState::Shared),
+                Some((false, &both, false))
+            ),
+            Some(request_only(1))
+        );
+        // A read miss on a dirty remote block is served with data and
+        // invalidates nothing; a write miss invalidates the owner.
+        let owner = copyset(&[other]);
+        let data_with = |invalidations| TransactionShape {
+            has_data_response: true,
+            invalidations,
+        };
+        assert_eq!(
+            shape(MemOp::Read, None, Some((true, &owner, false))),
+            Some(data_with(0))
+        );
+        assert_eq!(
+            shape(MemOp::Write, None, Some((true, &owner, false))),
+            Some(data_with(1))
+        );
+        // Before a block's first reference its directory state is clean
+        // and empty.
+        assert_eq!(shape(MemOp::Read, None, None), Some(data_with(0)));
     }
 
     #[test]

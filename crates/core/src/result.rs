@@ -38,6 +38,13 @@ impl MessageBreakdown {
         self.read_miss + self.write_miss + self.write_hit + self.eviction
     }
 
+    /// Traffic on operation critical paths: the delivered traffic less
+    /// eviction traffic (delayed writebacks and drop notifications
+    /// happen off the requesting processor's path).
+    pub fn critical_path(&self) -> MessageCount {
+        self.read_miss + self.write_miss + self.write_hit
+    }
+
     /// Resilience overhead: wire traffic consumed by NACKs and retries.
     pub fn overhead(&self) -> MessageCount {
         self.nacks + self.retries

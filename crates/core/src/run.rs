@@ -354,10 +354,6 @@ struct Plan {
     identity: u64,
     placement: PagePlacement,
     monitor: bool,
-    /// Whether an unmonitored run ends with the engine's invariant sweep:
-    /// streamed and checkpointed runs do; a plain run over a trace does
-    /// not.
-    sweep: bool,
     /// `Some(every)` when the run checkpoints (`0`: only at the end).
     every: Option<u64>,
     deadline: Option<(Instant, Duration)>,
@@ -527,8 +523,7 @@ impl<'p> Shard<'p> {
         self.replay(feed, self.plan.total, publish)?;
         match &mut self.monitor {
             Some(monitor) => monitor.verify(&self.engine)?,
-            None if self.plan.sweep => self.engine.verify()?,
-            None => {}
+            None => self.engine.verify()?,
         }
         if self.plan.every.is_some() {
             self.save(self.plan.total, publish)?;
@@ -717,9 +712,6 @@ impl DirectorySim {
             identity,
             placement: self.resolve_placement(src)?,
             monitor: spec.monitor,
-            sweep: matches!(src, Src::Stream(_))
-                || spec.checkpoint.is_some()
-                || spec.resume.is_some(),
             every: spec.checkpoint.map(|p| p.every),
             deadline: spec.deadline.map(|d| (Instant::now() + d, d)),
         })

@@ -18,16 +18,14 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 
 use mcc_cache::{Cache, CacheConfig};
-use mcc_obs::{Event as ObsEvent, Rule, SharedSink};
+use mcc_obs::{Rule, SharedSink};
 use mcc_placement::PagePlacement;
 use mcc_trace::{BlockAddr, BlockSize, MemOp, MemRef, NodeId, Trace};
 
 use crate::directory::{CopySet, DirEntry, ReadMissAction, Reclassification};
-use crate::engine::EngineKind;
+use crate::engine::{EngineKind, Ledger};
 use crate::error::{SimError, Violation, ViolationKind};
-use crate::faults::{
-    jittered_backoff_units, AttemptOutcome, FaultInjector, FaultPlan, TransactionShape,
-};
+use crate::faults::{FaultInjector, FaultPlan, TransactionShape};
 use crate::msg::{charge, charge_eviction, MessageCount, OpKind};
 use crate::policy::{AdaptivePolicy, Protocol};
 use crate::repr::DirectoryRepr;
@@ -276,7 +274,8 @@ impl DirectorySim {
     /// Runs the whole trace: resolves page placement (profiling the trace
     /// if configured), processes every reference, and returns the tally.
     /// A call into [`DirectorySim::execute`] with the default
-    /// [`RunSpec`]: one shard, on the calling thread, no monitor.
+    /// [`RunSpec`]: one shard, on the calling thread, no monitor, and
+    /// the engine's invariant sweep at the end.
     ///
     /// # Panics
     ///
@@ -304,12 +303,6 @@ impl DirectorySim {
         };
         self.execute(trace, &spec)?.merged()
     }
-}
-
-/// The node's zero-based index in the observability event vocabulary
-/// (`mcc_obs` speaks raw `u16`s so it needs no trace types).
-pub(crate) const fn obs_node(n: NodeId) -> u16 {
-    n.index() as u16
 }
 
 /// Sentinel policy for the non-adaptive protocols: never classifies a
@@ -358,17 +351,8 @@ pub struct DirectoryEngine {
     /// One-shot flag set by [`DirectoryEngine::step_hinted`]: service the
     /// next read miss as a read-with-ownership.
     rwitm: bool,
-    /// Interconnect fault injector; `None` models a reliable fabric.
-    faults: Option<FaultInjector>,
-    /// References processed so far (used to locate violations).
-    steps: u64,
-    messages: MessageBreakdown,
-    events: EventCounts,
-    /// Observability sink; `None` (the default) keeps every emission a
-    /// single branch. Events describe transitions the engine already
-    /// performs — no protocol decision ever reads the sink, so
-    /// attaching one cannot perturb results.
-    sink: Option<SharedSink>,
+    /// Step counter, tallies, fault injector and sink.
+    pub(crate) ledger: Ledger,
     /// Scratch table reused by [`DirectoryEngine::verify`]'s residency
     /// sweep: cleared (capacity retained) on each call so repeated
     /// monitor sweeps don't reallocate. `RefCell` because `verify`
@@ -394,11 +378,7 @@ impl DirectoryEngine {
             mem_version: HashMap::new(),
             latest: HashMap::new(),
             rwitm: false,
-            faults: None,
-            steps: 0,
-            messages: MessageBreakdown::default(),
-            events: EventCounts::default(),
-            sink: None,
+            ledger: Ledger::default(),
             verify_scratch: RefCell::new(HashMap::new()),
         }
     }
@@ -409,7 +389,7 @@ impl DirectoryEngine {
     /// invalidations, fault NACK/retry/backoff) into it.
     #[must_use]
     pub fn with_sink(mut self, sink: SharedSink) -> Self {
-        self.sink = Some(sink);
+        self.ledger.sink = Some(sink);
         self
     }
 
@@ -417,21 +397,14 @@ impl DirectoryEngine {
     /// an engine in place — used when restoring from a checkpoint,
     /// since snapshots deliberately exclude sinks.
     pub fn set_sink(&mut self, sink: Option<SharedSink>) {
-        self.sink = sink;
-    }
-
-    /// Emits `event` into the attached sink, if any.
-    pub(crate) fn emit_obs(&self, event: &ObsEvent) {
-        if let Some(sink) = &self.sink {
-            sink.emit(event);
-        }
+        self.ledger.sink = sink;
     }
 
     /// Subjects every demand transaction to the unreliable-interconnect
     /// model described by `plan`. Deterministic: the injector draws from
     /// a private stream seeded by `plan.seed`.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(FaultInjector::new(plan));
+        self.ledger.faults = Some(FaultInjector::new(plan));
         self
     }
 
@@ -457,10 +430,10 @@ impl DirectoryEngine {
         latest.sort_unstable();
         crate::checkpoint::EngineSnapshot {
             rwitm: self.rwitm,
-            steps: self.steps,
-            injector_rng: self.faults.as_ref().map(|f| f.rng_state()),
-            messages: self.messages,
-            events: self.events,
+            steps: self.ledger.steps,
+            injector_rng: self.ledger.faults.as_ref().map(|f| f.rng_state()),
+            messages: self.ledger.messages,
+            events: self.ledger.events,
             caches: self
                 .caches
                 .iter()
@@ -519,19 +492,7 @@ impl DirectoryEngine {
             engine.latest.insert(BlockAddr::new(block), version);
         }
         engine.rwitm = snap.rwitm;
-        engine.steps = snap.steps;
-        engine.messages = snap.messages;
-        engine.events = snap.events;
-        engine.faults = match (faults, snap.injector_rng) {
-            (Some(plan), Some(state)) => Some(FaultInjector::resume(plan, state)),
-            (None, None) => None,
-            (Some(_), None) => {
-                return Err("run has a fault plan but the snapshot captured no injector".into())
-            }
-            (None, Some(_)) => {
-                return Err("snapshot captured a fault injector but the run has no plan".into())
-            }
-        };
+        engine.ledger = Ledger::from_snapshot(snap, faults)?;
         Ok(engine)
     }
 
@@ -570,235 +531,33 @@ impl DirectoryEngine {
                 nodes: self.nodes,
             });
         }
-        self.steps += 1;
+        self.ledger.steps += 1;
         let home = self.placement.home_of_block(block, self.block_size);
-        let backoff = self.deliver_transaction(r.node, block, home, r.op)?;
-        let before = self.critical_path_messages();
+        let backoff = if self.ledger.faults.is_none() {
+            0
+        } else {
+            let shape = TransactionShape::of(
+                r,
+                home,
+                self.rwitm,
+                self.caches[r.node.index()].get(block).map(|l| l.state),
+                self.dir
+                    .get(&block)
+                    .map(|e| (e.dirty, &e.copyset, e.overflowed)),
+                self.repr,
+                self.nodes,
+            );
+            self.ledger.deliver(block, r.node, shape)?
+        };
+        let before = self.ledger.messages.critical_path();
         let kind = if self.caches[r.node.index()].contains(block) {
             self.hit(r.node, block, home, r.op)?
         } else {
             self.miss(r.node, block, home, r.op)?
         };
-        let after = self.critical_path_messages();
-        let info = StepInfo {
-            kind,
-            home,
-            messages: MessageCount::new(after.control - before.control, after.data - before.data),
-            backoff_units: backoff,
-        };
-        if self.sink.is_some() {
-            self.emit_obs(&ObsEvent::Step {
-                step: self.steps,
-                block: block.index(),
-                node: obs_node(r.node),
-                kind: kind.obs(),
-                control: info.messages.control,
-                data: info.messages.data,
-            });
-        }
-        Ok(info)
-    }
-
-    /// Replays delivery attempts for the transaction this reference
-    /// would issue (if any) against the fault injector, charging wasted
-    /// traffic and backoff, until the transaction is delivered or the
-    /// plan's budgets are exhausted. Returns the accumulated backoff
-    /// and delay units.
-    ///
-    /// Faults never touch protocol state: the caller performs the state
-    /// transition (and the ordinary Table 1 charge) only after this
-    /// returns `Ok`.
-    fn deliver_transaction(
-        &mut self,
-        n: NodeId,
-        block: BlockAddr,
-        home: NodeId,
-        op: MemOp,
-    ) -> Result<u64, SimError> {
-        if self.faults.is_none() {
-            return Ok(0);
-        }
-        let Some(shape) = self.transaction_shape(n, block, home, op) else {
-            // Local or cache-contained work never touches the fabric.
-            return Ok(0);
-        };
-        // The injector borrow spans the retry loop, so clone the sink
-        // handle (an `Arc`) for fault-event emission inside it.
-        let sink = self.sink.clone();
-        let step = self.steps;
-        let emit = |event: &ObsEvent| {
-            if let Some(sink) = &sink {
-                sink.emit(event);
-            }
-        };
-        let (ob, on) = (block.index(), obs_node(n));
-        let injector = self.faults.as_mut().expect("checked is_some above");
-        let plan = *injector.plan();
-        let mut attempt = 0u32;
-        let mut backoff_total = 0u64;
-        loop {
-            let report = injector.attempt(shape);
-            backoff_total += report.delay_units;
-            match report.outcome {
-                AttemptOutcome::Delivered => {
-                    self.messages.retries += report.wasted;
-                    break;
-                }
-                AttemptOutcome::Delayed => {
-                    // A message is parked in flight: wait out the delay
-                    // (already added to `backoff_total`) and poll again.
-                    // Not a resend, so it costs no retry and does not
-                    // consume the retry budget — but the livelock
-                    // watchdog still bounds the cumulative wait.
-                    self.messages.retries += report.wasted;
-                    if backoff_total > plan.max_total_backoff {
-                        return Err(SimError::Livelock {
-                            block,
-                            node: n,
-                            backoff_units: backoff_total,
-                            step: self.steps,
-                        });
-                    }
-                    continue;
-                }
-                AttemptOutcome::Dropped => {
-                    self.messages.retries += report.wasted;
-                    self.events.retries += 1;
-                    emit(&ObsEvent::Retry {
-                        step,
-                        block: ob,
-                        node: on,
-                        attempt: attempt + 1,
-                    });
-                }
-                AttemptOutcome::Nacked => {
-                    self.messages.nacks += report.wasted;
-                    self.events.nacks += 1;
-                    self.events.retries += 1;
-                    emit(&ObsEvent::Nack {
-                        step,
-                        block: ob,
-                        node: on,
-                        attempt: attempt + 1,
-                    });
-                    emit(&ObsEvent::Retry {
-                        step,
-                        block: ob,
-                        node: on,
-                        attempt: attempt + 1,
-                    });
-                }
-            }
-            if attempt >= plan.max_retries {
-                return Err(SimError::RetryExhausted {
-                    block,
-                    node: n,
-                    attempts: attempt + 1,
-                    step: self.steps,
-                });
-            }
-            // Jittered exponential backoff (salted with the step
-            // counter): deterministic and resume-safe, but two
-            // transactions that fail in lockstep no longer retry in
-            // lockstep.
-            backoff_total += jittered_backoff_units(plan.seed, self.steps, attempt);
-            if backoff_total > plan.max_total_backoff {
-                return Err(SimError::Livelock {
-                    block,
-                    node: n,
-                    backoff_units: backoff_total,
-                    step: self.steps,
-                });
-            }
-            attempt += 1;
-        }
-        if backoff_total > 0 {
-            emit(&ObsEvent::Backoff {
-                step,
-                block: ob,
-                node: on,
-                units: backoff_total,
-            });
-        }
-        self.events.backoff_units += backoff_total;
-        Ok(backoff_total)
-    }
-
-    /// The wire shape of the transaction this reference would issue, or
-    /// `None` when it completes without touching the interconnect (cache
-    /// hit with sufficient permission, or a fully node-local operation).
-    ///
-    /// Mirrors the charge logic of [`DirectoryEngine::hit`] /
-    /// [`DirectoryEngine::miss`] without mutating anything, so the fault
-    /// injector can rule on the transaction *before* the state
-    /// transition happens.
-    fn transaction_shape(
-        &self,
-        n: NodeId,
-        block: BlockAddr,
-        home: NodeId,
-        op: MemOp,
-    ) -> Option<TransactionShape> {
-        let local = home == n;
-        if let Some(line) = self.caches[n.index()].get(block) {
-            match op {
-                MemOp::Read => None,
-                MemOp::Write => match line.state {
-                    LineState::Dirty | LineState::MigratoryClean => None,
-                    LineState::Exclusive => {
-                        let msgs = charge(OpKind::WriteHit, local, false, 0);
-                        (msgs.total() > 0).then_some(TransactionShape {
-                            has_data_response: false,
-                            invalidations: 0,
-                        })
-                    }
-                    LineState::Shared => {
-                        let e = self.dir.get(&block)?;
-                        let dc = self.repr.charged_distant_copies(
-                            &e.copyset,
-                            e.overflowed,
-                            n,
-                            home,
-                            self.nodes,
-                        );
-                        let msgs = charge(OpKind::WriteHit, local, false, dc);
-                        (msgs.total() > 0).then_some(TransactionShape {
-                            has_data_response: false,
-                            invalidations: dc,
-                        })
-                    }
-                },
-            }
-        } else {
-            let (dirty, dc) = match self.dir.get(&block) {
-                Some(e) => (
-                    e.dirty,
-                    if e.dirty {
-                        e.copyset.distant_count(n, home)
-                    } else {
-                        self.repr.charged_distant_copies(
-                            &e.copyset,
-                            e.overflowed,
-                            n,
-                            home,
-                            self.nodes,
-                        )
-                    },
-                ),
-                None => (false, 0),
-            };
-            let write_like = matches!(op, MemOp::Write) || self.rwitm;
-            let kind = if write_like {
-                OpKind::WriteMiss
-            } else {
-                OpKind::ReadMiss
-            };
-            let msgs = charge(kind, local, dirty, dc);
-            (msgs.total() > 0).then_some(TransactionShape {
-                has_data_response: msgs.data > 0,
-                invalidations: if write_like { dc } else { 0 },
-            })
-        }
+        Ok(self
+            .ledger
+            .stepped(block, r.node, home, kind, before, backoff))
     }
 
     /// Processes one reference with an off-line hint: when `rwitm` is
@@ -826,13 +585,6 @@ impl DirectoryEngine {
         info
     }
 
-    /// Messages on operation critical paths: everything but eviction
-    /// traffic (delayed writebacks and drop notifications happen off the
-    /// requesting processor's path).
-    fn critical_path_messages(&self) -> MessageCount {
-        self.messages.read_miss + self.messages.write_miss + self.messages.write_hit
-    }
-
     fn hit(
         &mut self,
         n: NodeId,
@@ -853,18 +605,18 @@ impl DirectoryEngine {
         self.observe(block, version, "cache hit")?;
         Ok(match op {
             MemOp::Read => {
-                self.events.read_hits += 1;
+                self.ledger.events.read_hits += 1;
                 StepKind::ReadHit
             }
             MemOp::Write => {
                 let kind = match state {
                     LineState::Dirty => {
-                        self.events.silent_write_hits += 1;
+                        self.ledger.events.silent_write_hits += 1;
                         StepKind::SilentWrite
                     }
                     LineState::MigratoryClean => {
                         // Pre-granted permission: zero messages.
-                        self.events.write_grants_used += 1;
+                        self.ledger.events.write_grants_used += 1;
                         self.entry_mut(block).dirty = true;
                         self.caches[n.index()]
                             .get_mut(block)
@@ -875,8 +627,9 @@ impl DirectoryEngine {
                     LineState::Exclusive => {
                         // "Write hit on a clean, exclusively-held block":
                         // permission fetched from the home.
-                        self.events.exclusive_upgrades += 1;
-                        self.messages.write_hit += charge(OpKind::WriteHit, home == n, false, 0);
+                        self.ledger.events.exclusive_upgrades += 1;
+                        self.ledger.messages.write_hit +=
+                            charge(OpKind::WriteHit, home == n, false, 0);
                         let policy = self.policy;
                         let rc = if self.pure_migratory {
                             let e = self.entry_mut(block);
@@ -887,7 +640,8 @@ impl DirectoryEngine {
                             self.entry_mut(block)
                                 .on_write_hit_clean_exclusive(policy, n)
                         };
-                        self.record_reclass(rc, block, n, Rule::WriteHitCleanExclusive);
+                        self.ledger
+                            .reclassified(rc, block, n, Rule::WriteHitCleanExclusive);
                         self.caches[n.index()]
                             .get_mut(block)
                             .expect("residency checked by the contains() dispatch above")
@@ -896,7 +650,7 @@ impl DirectoryEngine {
                     }
                     LineState::Shared => {
                         // "Write hit invalidating one or more copies."
-                        self.events.shared_upgrades += 1;
+                        self.ledger.events.shared_upgrades += 1;
                         let policy = self.policy;
                         let pure = self.pure_migratory;
                         let repr = self.repr;
@@ -923,16 +677,16 @@ impl DirectoryEngine {
                         entry.copyset = CopySet::only(n);
                         entry.overflowed = false;
                         if was_overflowed {
-                            self.events.broadcast_invalidations += 1;
+                            self.ledger.events.broadcast_invalidations += 1;
                         }
-                        self.messages.write_hit += charge(OpKind::WriteHit, home == n, false, dc);
+                        self.ledger.messages.write_hit +=
+                            charge(OpKind::WriteHit, home == n, false, dc);
                         for m in others {
                             let removed = self.caches[m.index()].remove(block);
                             debug_assert!(removed.is_some(), "copyset out of sync with caches");
-                            self.events.invalidations += 1;
-                            self.emit_invalidation(block, m);
+                            self.ledger.invalidated(block, m);
                         }
-                        self.record_reclass(rc, block, n, Rule::WriteHitShared);
+                        self.ledger.reclassified(rc, block, n, Rule::WriteHitShared);
                         self.caches[n.index()]
                             .get_mut(block)
                             .expect("residency checked by the contains() dispatch above")
@@ -984,9 +738,9 @@ impl DirectoryEngine {
                 // Read-with-ownership: fetch the block with write
                 // permission, invalidating every existing copy — one
                 // transaction, charged like a write miss.
-                self.events.read_misses += 1;
-                self.events.migrations += 1;
-                self.messages.read_miss += charge(OpKind::WriteMiss, home == n, dirty, dc);
+                self.ledger.events.read_misses += 1;
+                self.ledger.events.migrations += 1;
+                self.ledger.messages.read_miss += charge(OpKind::WriteMiss, home == n, dirty, dc);
                 let mut served_from_owner = None;
                 for m in copyset_before.iter() {
                     let old = self.take_copy(m, block, "read-with-ownership")?;
@@ -994,8 +748,7 @@ impl DirectoryEngine {
                         self.mem_version.insert(block, old.version);
                         served_from_owner = Some(old.version);
                     }
-                    self.events.invalidations += 1;
-                    self.emit_invalidation(block, m);
+                    self.ledger.invalidated(block, m);
                 }
                 let served = served_from_owner.unwrap_or_else(|| self.mem(block));
                 self.observe(block, served, "read-with-ownership")?;
@@ -1009,8 +762,8 @@ impl DirectoryEngine {
                 StepKind::ReadMissMigrate
             }
             MemOp::Read => {
-                self.events.read_misses += 1;
-                self.messages.read_miss += charge(OpKind::ReadMiss, home == n, dirty, dc);
+                self.ledger.events.read_misses += 1;
+                self.ledger.messages.read_miss += charge(OpKind::ReadMiss, home == n, dirty, dc);
                 let (action, rc) = {
                     let e = self.entry_mut(block);
                     if pure && dirty {
@@ -1021,10 +774,10 @@ impl DirectoryEngine {
                         e.on_read_miss(policy)
                     }
                 };
-                self.record_reclass(rc, block, n, Rule::ReadMiss);
+                self.ledger.reclassified(rc, block, n, Rule::ReadMiss);
                 match action {
                     ReadMissAction::Migrate => {
-                        self.events.migrations += 1;
+                        self.ledger.events.migrations += 1;
                         let served = if let Some(owner) = copyset_before.single() {
                             // One transaction: copy to the requester and
                             // invalidate the previous holder.
@@ -1032,8 +785,7 @@ impl DirectoryEngine {
                             if old.state.is_dirty() {
                                 self.mem_version.insert(block, old.version);
                             }
-                            self.events.invalidations += 1;
-                            self.emit_invalidation(block, owner);
+                            self.ledger.invalidated(block, owner);
                             old.version
                         } else {
                             debug_assert!(copyset_before.is_empty());
@@ -1047,7 +799,7 @@ impl DirectoryEngine {
                         self.insert_line(n, block, LineState::MigratoryClean, served)?;
                     }
                     ReadMissAction::Replicate => {
-                        self.events.replications += 1;
+                        self.ledger.events.replications += 1;
                         // Demote an exclusive holder (Dirty, Exclusive or
                         // MigratoryClean) to Shared; a dirty copy is
                         // written back as part of the transaction (§3.3).
@@ -1083,8 +835,8 @@ impl DirectoryEngine {
                 }
             }
             MemOp::Write => {
-                self.events.write_misses += 1;
-                self.messages.write_miss += charge(OpKind::WriteMiss, home == n, dirty, dc);
+                self.ledger.events.write_misses += 1;
+                self.ledger.messages.write_miss += charge(OpKind::WriteMiss, home == n, dirty, dc);
                 // Invalidate every existing copy; a dirty one supplies the
                 // data (and is written home).
                 let mut served_from_owner = None;
@@ -1094,13 +846,12 @@ impl DirectoryEngine {
                         self.mem_version.insert(block, old.version);
                         served_from_owner = Some(old.version);
                     }
-                    self.events.invalidations += 1;
-                    self.emit_invalidation(block, m);
+                    self.ledger.invalidated(block, m);
                 }
                 let served = served_from_owner.unwrap_or_else(|| self.mem(block));
                 self.observe(block, served, "write miss")?;
                 if was_overflowed {
-                    self.events.broadcast_invalidations += 1;
+                    self.ledger.events.broadcast_invalidations += 1;
                 }
                 let rc = {
                     let e = self.entry_mut(block);
@@ -1116,7 +867,7 @@ impl DirectoryEngine {
                     e.overflowed = false;
                     rc
                 };
-                self.record_reclass(rc, block, n, Rule::WriteMiss);
+                self.ledger.reclassified(rc, block, n, Rule::WriteMiss);
                 let v = self.bump_version(block);
                 self.insert_line(n, block, LineState::Dirty, v)?;
                 StepKind::WriteMiss
@@ -1153,12 +904,12 @@ impl DirectoryEngine {
         if let Some((vb, vline)) = victim {
             let vhome = self.placement.home_of_block(vb, self.block_size);
             let dirty = vline.state.is_dirty();
-            self.messages.eviction += charge_eviction(vhome == n, dirty);
+            self.ledger.messages.eviction += charge_eviction(vhome == n, dirty);
             if dirty {
                 self.mem_version.insert(vb, vline.version);
-                self.events.writebacks += 1;
+                self.ledger.events.writebacks += 1;
             } else {
-                self.events.clean_drops += 1;
+                self.ledger.events.clean_drops += 1;
             }
             if !self.dir.contains_key(&vb) {
                 return Err(self.violation(vb, ViolationKind::CopysetMismatch, "eviction"));
@@ -1169,7 +920,7 @@ impl DirectoryEngine {
                 .get_mut(&vb)
                 .expect("contains_key checked above")
                 .on_copy_dropped(policy, n);
-            self.record_reclass(rc, vb, n, Rule::CopyDropped);
+            self.ledger.reclassified(rc, vb, n, Rule::CopyDropped);
         }
         Ok(())
     }
@@ -1179,45 +930,6 @@ impl DirectoryEngine {
         self.dir
             .entry(block)
             .or_insert_with(|| DirEntry::new(policy))
-    }
-
-    /// Tallies a reclassification and, when the block actually flipped,
-    /// emits the promote/demote event tagged with the §2 detection
-    /// `rule` that was consulted and the `node` whose reference
-    /// triggered it.
-    fn record_reclass(&mut self, rc: Reclassification, block: BlockAddr, node: NodeId, rule: Rule) {
-        match rc {
-            Reclassification::Unchanged => {}
-            Reclassification::BecameMigratory => {
-                self.events.became_migratory += 1;
-                self.emit_obs(&ObsEvent::Promote {
-                    step: self.steps,
-                    block: block.index(),
-                    node: obs_node(node),
-                    rule,
-                });
-            }
-            Reclassification::BecameOther => {
-                self.events.became_other += 1;
-                self.emit_obs(&ObsEvent::Demote {
-                    step: self.steps,
-                    block: block.index(),
-                    node: obs_node(node),
-                    rule,
-                });
-            }
-        }
-    }
-
-    /// Emits the invalidation of `node`'s copy of `block`.
-    fn emit_invalidation(&self, block: BlockAddr, node: NodeId) {
-        if self.sink.is_some() {
-            self.emit_obs(&ObsEvent::Invalidation {
-                step: self.steps,
-                block: block.index(),
-                node: obs_node(node),
-            });
-        }
     }
 
     fn mem(&self, block: BlockAddr) -> u64 {
@@ -1259,7 +971,7 @@ impl DirectoryEngine {
     fn violation(&self, block: BlockAddr, kind: ViolationKind, context: &'static str) -> Violation {
         Violation {
             block,
-            step: self.steps,
+            step: self.ledger.steps,
             kind,
             context,
             entry: self.dir.get(&block).cloned(),
@@ -1269,7 +981,7 @@ impl DirectoryEngine {
     /// References processed so far (including the one in flight when
     /// called from inside a step).
     pub fn steps(&self) -> u64 {
-        self.steps
+        self.ledger.steps
     }
 
     /// The protocol being simulated.
@@ -1290,7 +1002,7 @@ impl DirectoryEngine {
 
     /// Message tally so far.
     pub fn messages(&self) -> MessageBreakdown {
-        self.messages
+        self.ledger.messages
     }
 
     /// The version tag a node's resident copy of `block` holds, if the
@@ -1352,7 +1064,7 @@ impl DirectoryEngine {
 
     /// Event counts so far.
     pub fn events(&self) -> EventCounts {
-        self.events
+        self.ledger.events
     }
 
     /// Sweeps the global invariants linking the directory to the caches,
@@ -1436,13 +1148,7 @@ impl DirectoryEngine {
 
     /// Consumes the engine and returns the tally.
     pub fn finish(self) -> SimResult {
-        let result = SimResult {
-            protocol: self.protocol,
-            messages: self.messages,
-            events: self.events,
-        };
-        result.debug_assert_consistent();
-        result
+        self.ledger.finish(self.protocol)
     }
 }
 

@@ -50,12 +50,13 @@ use std::path::Path;
 
 use mcc_cache::{CacheConfig, CacheGeometry};
 use mcc_core::checkpoint::{
-    fnv1a_64, put_u16, put_u64, read_envelope, trace_fingerprint, write_envelope, PayloadReader,
+    fnv1a_64, prev_path, put_u16, put_u64, read_envelope, save_rotating, trace_fingerprint,
+    write_envelope, PayloadReader,
 };
 use mcc_core::{
     CheckpointError, CheckpointPolicy, DirectoryEngine, DirectorySimConfig, EngineSnapshot,
-    EventCounts, FaultPlan, MessageBreakdown, Monitor, PlacementPolicy, Protocol, SimError,
-    StepKind,
+    EventCounts, FaultPlan, MessageBreakdown, Monitor, PlacementPolicy, Protocol, RealStorage,
+    SimError, StepKind,
 };
 use mcc_obs::{Event as ObsEvent, SharedSink};
 use mcc_placement::PagePlacement;
@@ -1046,32 +1047,31 @@ impl ExecCheckpoint {
         })
     }
 
-    /// Atomically writes the snapshot to `path` (via a sibling
-    /// temporary file and rename, so a crash mid-write never leaves a
-    /// half-written checkpoint behind).
+    /// Writes the snapshot to `path` durably and atomically, keeping
+    /// the previous generation at `path.prev`, through the same
+    /// crash-ordered [`save_rotating`] as
+    /// [`Checkpoint::save`](mcc_core::Checkpoint::save).
     ///
     /// # Errors
     ///
     /// [`CheckpointError::Io`] when the filesystem fails.
     pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
-        let mut name = path.file_name().unwrap_or_default().to_os_string();
-        name.push(".tmp");
-        let tmp = path.with_file_name(name);
         let mut bytes = Vec::new();
         self.write_to(&mut bytes)?;
-        fs::write(&tmp, &bytes)?;
-        fs::rename(&tmp, path)?;
-        Ok(())
+        Ok(save_rotating(&RealStorage, path, &bytes)?)
     }
 
-    /// Reads a snapshot previously [`save`](ExecCheckpoint::save)d.
+    /// Reads a snapshot previously [`save`](ExecCheckpoint::save)d,
+    /// falling back to the rotated `path.prev` generation when the
+    /// newest file is missing or does not decode.
     ///
     /// # Errors
     ///
-    /// [`CheckpointError`] on I/O failure or a corrupt file.
+    /// The newest file's [`CheckpointError`] (I/O failure or
+    /// corruption) when neither generation loads.
     pub fn load(path: &Path) -> Result<ExecCheckpoint, CheckpointError> {
-        let bytes = fs::read(path)?;
-        ExecCheckpoint::read_from(&mut &bytes[..])
+        let load = |path: &Path| ExecCheckpoint::read_from(&mut &fs::read(path)?[..]);
+        load(path).or_else(|primary| load(&prev_path(path)).map_err(|_| primary))
     }
 }
 

@@ -52,7 +52,8 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use mcc_core::checkpoint::{
-    fnv1a_64, prev_path, put_u16, put_u32, put_u64, read_envelope, write_envelope, PayloadReader,
+    fnv1a_64, prev_path, put_u16, put_u32, put_u64, read_envelope, save_rotating, write_envelope,
+    PayloadReader,
 };
 use mcc_core::{EngineSnapshot, MessageCount, SnapshotGeneration, StepKind, Storage};
 use mcc_obs::{AtomicHistogram, Event};
@@ -389,7 +390,9 @@ pub struct LoadedSnapshot {
 }
 
 /// Writes a shard snapshot durably, rotating the previous generation
-/// to `.prev` exactly like [`Checkpoint::save`](mcc_core::Checkpoint::save).
+/// to `.prev` through the same
+/// [`save_rotating`](mcc_core::checkpoint::save_rotating) as
+/// [`Checkpoint::save`](mcc_core::Checkpoint::save).
 ///
 /// # Errors
 ///
@@ -406,14 +409,7 @@ pub fn save_snapshot<S: Storage + ?Sized>(
     let mut bytes = Vec::with_capacity(payload.len() + 24);
     write_envelope(&mut bytes, SHARD_SNAPSHOT_MAGIC, &payload)
         .map_err(|e| io::Error::other(e.to_string()))?;
-    let tmp = tmp_path(path);
-    storage.write_file(&tmp, &bytes)?;
-    storage.sync(&tmp)?;
-    if storage.exists(path) {
-        storage.rename(path, &prev_path(path))?;
-    }
-    storage.rename(&tmp, path)?;
-    storage.sync_parent(path)
+    save_rotating(storage, path, &bytes)
 }
 
 fn decode_snapshot(bytes: &[u8]) -> Option<(EngineSnapshot, usize)> {

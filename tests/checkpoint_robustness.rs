@@ -429,3 +429,56 @@ fn exec_checkpoints_survive_the_same_corruption_sweep() {
     let err = ExecCheckpoint::read_from(&mut &sample_bytes()[..]).unwrap_err();
     assert!(matches!(err, CheckpointError::BadMagic), "got {err}");
 }
+
+/// MCCX saves rotate like MCCK saves: a second save keeps the first as
+/// `.prev`, and a newest file that no longer decodes loads the previous
+/// generation — or, when neither decodes, reports the newest file's
+/// error.
+#[test]
+fn exec_saves_keep_a_loadable_previous_generation() {
+    use mcc::core::checkpoint::prev_path;
+
+    let trace = sample_trace(4);
+    let cfg = ExecSimConfig {
+        nodes: 4,
+        ..ExecSimConfig::default()
+    };
+    let sim = ExecSim::new(Protocol::Basic, &cfg);
+    let first = sim.checkpoint_after(&trace, 10).expect("prefix");
+    let second = sim.checkpoint_after(&trace, 20).expect("prefix");
+    let bytes = |ck: &ExecCheckpoint| {
+        let mut out = Vec::new();
+        ck.write_to(&mut out).expect("vec write");
+        out
+    };
+    let dir = std::env::temp_dir().join(format!("mcc-exec-generations-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("run.mccx");
+
+    first.save(&path).unwrap();
+    second.save(&path).unwrap();
+    assert_eq!(bytes(&ExecCheckpoint::load(&path).unwrap()), bytes(&second));
+    let previous = std::fs::read(prev_path(&path)).unwrap();
+    let decoded = ExecCheckpoint::read_from(&mut &previous[..]).expect("the first save survives");
+    assert_eq!(bytes(&decoded), bytes(&first));
+
+    // Truncate the newest file: the previous generation loads instead.
+    let newest = std::fs::read(&path).unwrap();
+    std::fs::write(&path, &newest[..newest.len() / 2]).unwrap();
+    let recovered = ExecCheckpoint::load(&path).expect("falls back to .prev");
+    assert_eq!(bytes(&recovered), bytes(&first));
+    assert_eq!(recovered.processed(), 10);
+
+    // Both generations corrupt: the newest file's error, not the
+    // fallback's.
+    let mut flipped = newest.clone();
+    *flipped.last_mut().unwrap() ^= 0xFF;
+    std::fs::write(&path, &flipped).unwrap();
+    std::fs::write(prev_path(&path), b"garbage").unwrap();
+    let err = ExecCheckpoint::load(&path).unwrap_err();
+    assert!(
+        matches!(err, CheckpointError::ChecksumMismatch { .. }),
+        "expected the newest file's checksum error, got {err}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
