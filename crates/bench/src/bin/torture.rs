@@ -25,7 +25,7 @@
 //!   shard whose I/O hit the kill-point; its replacement incarnation
 //!   salvages the WAL's torn tail, reconciles acked-but-uncommitted
 //!   records, and the whole run must still pass its own differential
-//!   replay verification ([`LiveReport::ok`]).
+//!   replay verification ([`LiveReport::ok`](mcc_live::LiveReport::ok)).
 //!
 //! The sweep prints a JSON report (`--out FILE` to also write it) and
 //! exits non-zero if any op index left an unrecovered state. `--stride

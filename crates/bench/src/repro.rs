@@ -6,7 +6,7 @@ use std::fmt::Display;
 
 use mcc_core::{
     charge, migrate_hints, AdaptivePolicy, DirEntryLayout, DirectoryEngine, DirectoryRepr,
-    DirectorySim, DirectorySimConfig, FaultPlan, OpKind, PlacementPolicy, Protocol,
+    DirectorySim, DirectorySimConfig, Engine, FaultPlan, OpKind, PlacementPolicy, Protocol,
 };
 use mcc_placement::PagePlacement;
 use mcc_snoop::{

@@ -45,7 +45,7 @@ pub fn bench<T>(name: &str, elements: u64, mut f: impl FnMut() -> T) {
 }
 
 /// Runs `f` once as warm-up and `samples` timed times, returning the
-/// median wall time in seconds. The programmatic sibling of [`bench`]
+/// median wall time in seconds. The programmatic sibling of [`bench()`]
 /// for harness binaries that post-process timings (speedup tables)
 /// instead of printing them directly.
 ///

@@ -3,7 +3,7 @@
 //! Over a small configuration — N nodes, B blocks, read/write — there
 //! are `(2·N·B)^L` traces of length L. [`explore`] enumerates *all* of
 //! them up to a length bound, depth first, forking the lockstep
-//! [`Checker`](crate::invariants::Checker) at every branch so each
+//! [`Checker`] at every branch so each
 //! prefix's work is done exactly once. Every reachable state within
 //! the bound is therefore visited and checked against the full
 //! invariant suite.

@@ -5,7 +5,7 @@
 //! the pattern the migratory classifier exists to catch) and subjects
 //! it to:
 //!
-//! * the full lockstep [`Checker`](crate::invariants::Checker) for
+//! * the full lockstep [`Checker`] for
 //!   every requested protocol point;
 //! * a **directory-vs-snoop differential**: the conventional directory
 //!   protocol and snooping MESI implement the same write-invalidate
@@ -15,7 +15,7 @@
 //! * the **off-line oracle bound**: for an adaptive protocol on a
 //!   fault-free, capacity-free run, each block's migrations are
 //!   bounded by `hints + demotions + 1`, where `hints` counts the
-//!   read-miss positions [`migrate_hints`](mcc_core::migrate_hints)
+//!   read-miss positions [`migrate_hints`]
 //!   marks profitable. Every *unhinted* migration leaves behind a
 //!   clean single copy whose next foreign access demotes the block
 //!   before it can migrate again — so unhinted migrations are paid for
@@ -25,7 +25,7 @@
 //!   the last access of a run, where the hint is false — see
 //!   DESIGN.md §11.)
 //!
-//! Any violation is [shrunk](crate::shrink) to a minimal
+//! Any violation is [shrunk](fn@crate::shrink) to a minimal
 //! counterexample. With `broken_demotion_spec` set, the checker's
 //! specification is built with the planted demotion bug, turning the
 //! fuzzer on itself: it must find and minimize the divergence.

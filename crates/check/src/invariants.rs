@@ -2,7 +2,7 @@
 //!
 //! A [`Checker`] drives a production
 //! [`DirectoryEngine`](mcc_core::DirectoryEngine) and the
-//! [`ReferenceModel`](crate::spec::ReferenceModel) through the same
+//! [`ReferenceModel`] through the same
 //! reference stream, one step at a time, and verifies after every step
 //! that the engine's observable behaviour is exactly what the
 //! specification demands:

@@ -18,13 +18,13 @@
 //!   data values (a versioned write oracle), message accounting,
 //!   classification soundness against the `mcc-obs` event stream, and
 //!   the demotion rule.
-//! * [`explore`] — exhaustive bounded exploration: every trace of
+//! * [`explore`](mod@explore) — exhaustive bounded exploration: every trace of
 //!   length ≤ L over a small alphabet (nodes × blocks × read/write),
 //!   checked step by step.
-//! * [`fuzz`] — long seeded random traces, a directory-vs-snoop
+//! * [`fuzz`](mod@fuzz) — long seeded random traces, a directory-vs-snoop
 //!   differential on the counts both models must share, and the
 //!   off-line oracle bound.
-//! * [`shrink`] — delta-debugging of failing traces (drop records,
+//! * [`shrink`](mod@shrink) — delta-debugging of failing traces (drop records,
 //!   merge nodes, collapse blocks) down to a minimal counterexample
 //!   that replays from a `.mcct` file.
 

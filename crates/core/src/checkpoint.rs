@@ -3,7 +3,7 @@
 //! Long sweeps should survive a panic, a wedged machine, or an operator
 //! Ctrl-C without losing completed work. A [`Checkpoint`] is a
 //! versioned, checksummed binary snapshot of a run in flight: per shard,
-//! the [`DirectoryEngine`]'s complete coherence state (cache residency
+//! the engine's complete coherence state (cache residency
 //! in LRU order, directory entries, version tables), the
 //! [`FaultInjector`](crate::FaultInjector) PRNG stream position, the
 //! accumulated message/event counters, and an absolute cursor into the
@@ -35,10 +35,12 @@
 //! an O(64) probe for a stream ([`stream_fingerprint`]), which cannot be
 //! re-hashed in full on every resume. A resume refuses a snapshot of a
 //! different protocol, configuration, fault plan, shard count, or source
-//! with [`SimError::BadCheckpoint`](crate::SimError::BadCheckpoint)
-//! before any state is rebuilt. Corrupt files (truncation, bit flips,
-//! wrong magic, older versions — including version-2 `MCCK` files and
-//! the `MCCS` stream snapshots earlier versions wrote) are rejected with a typed
+//! with [`SimError::BadCheckpoint`] before any state is rebuilt, and
+//! so does a restore whose engine snapshot no correct engine could have
+//! captured (a directory copy set that disagrees with cache residency).
+//! Corrupt files (truncation, bit flips, wrong magic, older versions —
+//! including version-2 `MCCK` files and the `MCCS` stream snapshots
+//! earlier versions wrote) are rejected with a typed
 //! [`CheckpointError`], never a panic.
 //!
 //! What is *not* captured: the records themselves and the page
@@ -54,7 +56,6 @@ use mcc_placement::PagePlacement;
 use mcc_trace::{BlockSize, NodeId, ReadTraceError, Trace, TraceStream};
 
 use crate::directory::{CopiesCreated, CopySet, DirEntry};
-use crate::engine::Engine;
 use crate::error::SimError;
 use crate::faults::{FaultPlan, FaultRates};
 use crate::policy::{AdaptivePolicy, Protocol};
@@ -182,11 +183,10 @@ fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// FNV-1a over one record's `(node, op, addr)` wire fields.
+/// FNV-1a over one record's MCCT bytes
+/// ([`MemRef::to_bytes`](mcc_trace::MemRef::to_bytes)).
 fn fnv1a_record(h: u64, r: &mcc_trace::MemRef) -> u64 {
-    let h = fnv1a_extend(h, &(r.node.index() as u16).to_le_bytes());
-    let h = fnv1a_extend(h, &[u8::from(r.op.is_write())]);
-    fnv1a_extend(h, &r.addr.get().to_le_bytes())
+    fnv1a_extend(h, &r.to_bytes())
 }
 
 /// Appends a little-endian `u16` to a payload under construction.
@@ -386,13 +386,13 @@ pub fn stream_fingerprint(stream: &TraceStream) -> Result<u64, ReadTraceError> {
 // Engine snapshots
 // ---------------------------------------------------------------------
 
-/// The complete replayable state of one [`DirectoryEngine`] at a record
-/// boundary.
+/// The complete replayable state of one engine at a record boundary.
 ///
-/// Captured by [`EngineSnapshot::capture`], restored by
-/// [`EngineSnapshot::restore`]; an engine restored from a snapshot
-/// processes the remaining references exactly as the original would
-/// have. Cache lines are stored least-recently-used first (see
+/// Captured by [`Engine::snapshot`](crate::Engine::snapshot) on either
+/// engine (the two capture byte-identical snapshots of the same state),
+/// restored by [`EngineSnapshot::restore`]; an engine restored from a
+/// snapshot processes the remaining references exactly as the original
+/// would have. Cache lines are stored least-recently-used first (see
 /// [`Cache::snapshot_lines`](mcc_cache::Cache::snapshot_lines)), so
 /// finite-cache replacement decisions survive the round trip; maps are
 /// stored sorted by block index, so identical states serialize to
@@ -412,15 +412,6 @@ pub struct EngineSnapshot {
 }
 
 impl EngineSnapshot {
-    /// Captures the engine's state. Cheap relative to simulation: one
-    /// pass over resident lines and directory entries. Snapshots are
-    /// engine-agnostic: the reference and fast engines capture
-    /// byte-identical snapshots of the same logical state, so a
-    /// checkpoint written under one engine restores under the other.
-    pub fn capture<E: Engine>(engine: &E) -> EngineSnapshot {
-        engine.snapshot()
-    }
-
     /// Rebuilds an engine that will continue exactly where the captured
     /// one left off.
     ///
@@ -432,8 +423,11 @@ impl EngineSnapshot {
     /// # Errors
     ///
     /// [`SimError::BadCheckpoint`] when the snapshot cannot describe an
-    /// engine of this configuration (wrong node count, lines that do
-    /// not fit the cache geometry, fault-plan presence mismatch).
+    /// engine of this configuration (wrong node count, cache lines no
+    /// correct engine holds — a duplicate, holders of one block that
+    /// disagree, a directory copy set that disagrees with residency —
+    /// lines that do not fit the cache geometry, fault-plan presence
+    /// mismatch).
     pub fn restore(
         &self,
         protocol: Protocol,
@@ -1140,11 +1134,11 @@ pub struct RecoveredCheckpoint {
 /// snapshot writer (MCCK and MCCX checkpoints, live shard snapshots)
 /// goes through:
 ///
-/// 1. the bytes land in a sibling `.tmp` file, which is fsynced;
+/// 1. [`stage_tmp`]: the bytes land in a sibling `.tmp` file, which is
+///    fsynced;
 /// 2. an existing `path` is renamed to `path.prev`;
-/// 3. the temp file is renamed into place;
-/// 4. the parent directory is fsynced, making the whole sequence
-///    durable.
+/// 3. [`commit_tmp`]: the temp file is renamed into place and the
+///    parent directory is fsynced, making the whole sequence durable.
 ///
 /// A power cut at *any* point leaves either the new snapshot, the
 /// previous one at `path` or `path.prev`, or both — never only a torn
@@ -1158,23 +1152,52 @@ pub fn save_rotating<S: Storage + ?Sized>(
     path: &Path,
     bytes: &[u8],
 ) -> io::Result<()> {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
-    let tmp = path.with_file_name(name);
-    storage.write_file(&tmp, bytes)?;
-    storage.sync(&tmp)?;
+    let tmp = stage_tmp(storage, path, bytes)?;
     if storage.exists(path) {
         storage.rename(path, &prev_path(path))?;
     }
-    storage.rename(&tmp, path)?;
+    commit_tmp(storage, &tmp, path)
+}
+
+/// The first half of a crash-ordered replacement of `path`: writes
+/// `bytes` to its `.tmp` sibling and fsyncs it, leaving `path` itself
+/// untouched. Returns the sibling for [`commit_tmp`].
+///
+/// # Errors
+///
+/// Any storage failure (including injected ones).
+pub fn stage_tmp<S: Storage + ?Sized>(
+    storage: &S,
+    path: &Path,
+    bytes: &[u8],
+) -> io::Result<PathBuf> {
+    let tmp = sibling(path, ".tmp");
+    storage.write_file(&tmp, bytes)?;
+    storage.sync(&tmp)?;
+    Ok(tmp)
+}
+
+/// The second half: renames the fsynced `tmp` over `path`, then fsyncs
+/// the parent directory so the rename itself is durable.
+///
+/// # Errors
+///
+/// Any storage failure (including injected ones).
+pub fn commit_tmp<S: Storage + ?Sized>(storage: &S, tmp: &Path, path: &Path) -> io::Result<()> {
+    storage.rename(tmp, path)?;
     storage.sync_parent(path)
 }
 
 /// The rotated last-good sibling of a snapshot path (`x.ckpt` ↔
 /// `x.ckpt.prev`).
 pub fn prev_path(path: &Path) -> PathBuf {
+    sibling(path, ".prev")
+}
+
+/// `path` with `suffix` appended to its file name.
+fn sibling(path: &Path, suffix: &str) -> PathBuf {
     let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".prev");
+    name.push(suffix);
     path.with_file_name(name)
 }
 

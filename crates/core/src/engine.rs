@@ -4,34 +4,41 @@
 //! implementation — hash-mapped tables, one state transition at a time,
 //! written for auditability against the paper. [`FastEngine`] is the
 //! hot path: dense struct-of-arrays block tables behind an
-//! open-addressing index. Both implement [`Engine`], and [`AnyEngine`]
-//! packages the choice as a runtime value so `DirectorySim`, the
-//! sharded runner, resumable runs and the bench bins can select either
-//! with one knob.
+//! open-addressing index. [`Engine`] is each engine's only API: both
+//! implement it directly, and [`AnyEngine`] packages the choice as a
+//! runtime value so `DirectorySim`, the sharded runner, resumable runs
+//! and the bench bins can select either with one knob.
 //!
 //! The two engines are kept bit-exact: same `SimResult`, same message
 //! counters, same event stream, same errors (see
-//! `tests/fast_engine_parity.rs` and DESIGN.md §13). Only their
-//! Figure 3 transitions (`hit`/`miss`) are written twice, once per table
-//! layout. Everything around them is written once: the [`Ledger`] both
-//! engines keep holds the step counter, the tallies, the fault injector
-//! and the sink, and carries the one event path and fault-delivery
-//! adapter; the transaction-shape rule and the delivery loop live in
+//! `tests/fast_engine_parity.rs` and DESIGN.md §13). Each writes only
+//! its tables, its Figure 3 transitions (`hit`/`miss`), its inspection
+//! bodies and the table half of its snapshot conversion. Everything
+//! around them is written once: the `Frame` both engines hold carries
+//! the protocol, the machine shape and the [`Ledger`], and owns the
+//! step opening, snapshot capture and restore; the ledger holds the
+//! step counter, the tallies, the fault injector and the sink, and
+//! carries the one event path and fault-delivery adapter; the
+//! transaction-shape rule and the delivery loop live in
 //! [`faults`](crate::faults). Checkpoints are interchangeable because
-//! both sides convert through the same [`EngineSnapshot`].
+//! both sides convert through the same [`EngineSnapshot`], and both
+//! refuse the same malformed ones at restore.
+
+use std::collections::HashMap;
 
 use mcc_cache::CacheConfig;
 use mcc_obs::{Event as ObsEvent, Rule, SharedSink};
 use mcc_placement::PagePlacement;
-use mcc_trace::{BlockAddr, MemRef, NodeId};
+use mcc_trace::{BlockAddr, BlockSize, MemRef, NodeId};
 
 use crate::checkpoint::EngineSnapshot;
-use crate::directory::{DirEntry, Reclassification};
+use crate::directory::{CopySet, DirEntry, Reclassification};
 use crate::error::{SimError, Violation};
 use crate::fast::FastEngine;
 use crate::faults::{FaultInjector, FaultPlan, TransactionShape};
 use crate::msg::MessageCount;
-use crate::policy::Protocol;
+use crate::policy::{AdaptivePolicy, Protocol};
+use crate::repr::DirectoryRepr;
 use crate::result::{EventCounts, MessageBreakdown, SimResult};
 use crate::sim::{DirectoryEngine, DirectorySimConfig, LineState, StepInfo, StepKind};
 
@@ -41,7 +48,7 @@ pub(crate) const fn obs_node(n: NodeId) -> u16 {
     n.index() as u16
 }
 
-/// What both engines keep beside their block tables — the step
+/// The accounting the [`Frame`] carries for both engines — the step
 /// counter, the message and event tallies, the fault injector and the
 /// observability sink — and the machinery written once over it.
 ///
@@ -61,31 +68,6 @@ pub(crate) struct Ledger {
 }
 
 impl Ledger {
-    /// The ledger a snapshot captured, its fault stream resumed under
-    /// the run's `faults` plan. Snapshots exclude sinks.
-    pub(crate) fn from_snapshot(
-        snap: &EngineSnapshot,
-        faults: Option<FaultPlan>,
-    ) -> Result<Ledger, String> {
-        let faults = match (faults, snap.injector_rng) {
-            (Some(plan), Some(state)) => Some(FaultInjector::resume(plan, state)),
-            (None, None) => None,
-            (Some(_), None) => {
-                return Err("run has a fault plan but the snapshot captured no injector".into())
-            }
-            (None, Some(_)) => {
-                return Err("snapshot captured a fault injector but the run has no plan".into())
-            }
-        };
-        Ok(Ledger {
-            steps: snap.steps,
-            messages: snap.messages,
-            events: snap.events,
-            faults,
-            sink: None,
-        })
-    }
-
     /// Emits `event` into the attached sink, if any.
     pub(crate) fn emit(&self, event: &ObsEvent) {
         if let Some(sink) = &self.sink {
@@ -212,6 +194,191 @@ impl Ledger {
     }
 }
 
+/// Sentinel policy for the non-adaptive protocols: never classifies a
+/// block as migratory.
+const NEVER_ADAPT: AdaptivePolicy = AdaptivePolicy {
+    initial_migratory: false,
+    events_required: u8::MAX,
+    remember_when_uncached: false,
+    demote_on_write_miss: false,
+};
+
+/// What both engines hold besides their block tables — the protocol,
+/// the machine's shape, the one-shot read-with-ownership flag and the
+/// [`Ledger`] — and the step opening, snapshot capture and restore
+/// written once over them.
+#[derive(Clone, Debug)]
+pub(crate) struct Frame {
+    pub(crate) protocol: Protocol,
+    pub(crate) policy: AdaptivePolicy,
+    pub(crate) pure_migratory: bool,
+    pub(crate) nodes: u16,
+    pub(crate) block_size: BlockSize,
+    pub(crate) repr: DirectoryRepr,
+    pub(crate) placement: PagePlacement,
+    /// One-shot flag set by
+    /// [`DirectoryEngine::step_hinted`](crate::DirectoryEngine::step_hinted):
+    /// service the next read miss as a read-with-ownership.
+    pub(crate) rwitm: bool,
+    /// Step counter, tallies, fault injector and sink.
+    pub(crate) ledger: Ledger,
+}
+
+impl Frame {
+    /// The frame of a fresh engine running `protocol` on `config`'s
+    /// machine.
+    pub(crate) fn new(
+        protocol: Protocol,
+        config: &DirectorySimConfig,
+        placement: PagePlacement,
+    ) -> Frame {
+        Frame {
+            protocol,
+            policy: protocol.policy().unwrap_or(NEVER_ADAPT),
+            pure_migratory: protocol == Protocol::PureMigratory,
+            nodes: config.nodes,
+            block_size: config.block_size,
+            repr: config.directory,
+            placement,
+            rwitm: false,
+            ledger: Ledger::default(),
+        }
+    }
+
+    /// Opens the step of `r`: refuses a node outside the machine
+    /// before anything changes, counts the step, and returns the
+    /// referenced block.
+    #[inline]
+    pub(crate) fn open(&mut self, r: MemRef) -> Result<BlockAddr, SimError> {
+        if r.node.index() >= usize::from(self.nodes) {
+            return Err(SimError::NodeOutOfRange {
+                node: r.node,
+                nodes: self.nodes,
+            });
+        }
+        self.ledger.steps += 1;
+        Ok(r.addr.block(self.block_size))
+    }
+
+    /// The home node of `block` under the run's placement.
+    #[inline]
+    pub(crate) fn home_of(&self, block: BlockAddr) -> NodeId {
+        self.placement.home_of_block(block, self.block_size)
+    }
+
+    /// The frame's half of a snapshot, with empty tables: an engine
+    /// fills in its own with struct-update syntax.
+    pub(crate) fn capture(&self) -> EngineSnapshot {
+        EngineSnapshot {
+            rwitm: self.rwitm,
+            steps: self.ledger.steps,
+            injector_rng: self.ledger.faults.as_ref().map(|f| f.rng_state()),
+            messages: self.ledger.messages,
+            events: self.ledger.events,
+            caches: Vec::new(),
+            dir: Vec::new(),
+            mem_version: Vec::new(),
+            latest: Vec::new(),
+        }
+    }
+
+    /// Restores a fresh frame to where `snap` left off, its fault
+    /// stream resumed under the run's `faults` plan (snapshots exclude
+    /// sinks). Refuses a snapshot of another node count, one
+    /// [`check_lines`] refuses, or one whose fault injector is present
+    /// on one side only. Both engines restore through here, so they
+    /// refuse the same snapshots with the same reason.
+    pub(crate) fn restore(
+        &mut self,
+        snap: &EngineSnapshot,
+        faults: Option<FaultPlan>,
+    ) -> Result<(), String> {
+        if snap.caches.len() != usize::from(self.nodes) {
+            return Err(format!(
+                "snapshot has {} node caches but the configuration has {} nodes",
+                snap.caches.len(),
+                self.nodes
+            ));
+        }
+        check_lines(snap)?;
+        let faults = match (faults, snap.injector_rng) {
+            (Some(plan), Some(state)) => Some(FaultInjector::resume(plan, state)),
+            (None, None) => None,
+            (Some(_), None) => {
+                return Err("run has a fault plan but the snapshot captured no injector".into())
+            }
+            (None, Some(_)) => {
+                return Err("snapshot captured a fault injector but the run has no plan".into())
+            }
+        };
+        self.rwitm = snap.rwitm;
+        self.ledger = Ledger {
+            steps: snap.steps,
+            messages: snap.messages,
+            events: snap.events,
+            faults,
+            sink: None,
+        };
+        Ok(())
+    }
+}
+
+/// Refuses cache lines no correct engine holds at a record boundary: a
+/// line listed twice, holders of one block that disagree on its version
+/// or are not all `Shared`, and a directory copy set that disagrees with
+/// cache residency (a holder with no line, possibly one outside the
+/// machine, or a line the directory does not know). Directory rows must
+/// ascend by block, as both engines capture them, so a repeated row
+/// cannot slip a second, unchecked copy set past the comparison.
+fn check_lines(snap: &EngineSnapshot) -> Result<(), String> {
+    if let Some(rows) = snap.dir.windows(2).find(|rows| rows[0].0 >= rows[1].0) {
+        let block = BlockAddr::new(rows[1].0);
+        return Err(format!(
+            "snapshot directory rows are out of block order at {block}"
+        ));
+    }
+    // Per resident block: its holders, and the first holder's line.
+    let mut resident: HashMap<u64, (CopySet, LineState, u64)> = HashMap::new();
+    for (node, lines) in snap.caches.iter().enumerate() {
+        let holder = NodeId::new(node as u16);
+        for &(block, state, version) in lines {
+            let row = resident.entry(block);
+            let (holders, first, first_version) = row.or_insert((CopySet::new(), state, version));
+            let block = BlockAddr::new(block);
+            if holders.contains(holder) {
+                return Err(format!("duplicate cache line for {block} at node {node}"));
+            }
+            if !holders.is_empty() {
+                if *first_version != version {
+                    return Err(format!("cache lines for {block} disagree on version"));
+                }
+                if state != LineState::Shared || *first != LineState::Shared {
+                    return Err(format!(
+                        "multiple cache lines for {block} are not all Shared"
+                    ));
+                }
+            }
+            holders.insert(holder);
+        }
+    }
+    let disagrees = |block| {
+        format!(
+            "snapshot directory copyset for {} disagrees with cache residency",
+            BlockAddr::new(block)
+        )
+    };
+    for (block, entry) in &snap.dir {
+        let holders = resident.remove(block).map(|(holders, ..)| holders);
+        if holders.unwrap_or_default() != entry.copyset {
+            return Err(disagrees(*block));
+        }
+    }
+    match resident.keys().min() {
+        Some(&block) => Err(disagrees(block)),
+        None => Ok(()),
+    }
+}
+
 /// Which engine implementation a run uses.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum EngineKind {
@@ -225,8 +392,7 @@ pub enum EngineKind {
     Fast,
 }
 
-/// The protocol-engine interface shared by the reference and fast
-/// implementations.
+/// The protocol-engine interface, and each engine's only API.
 ///
 /// Everything observable about a run goes through this trait: stepping,
 /// invariant sweeps, message/event tallies, per-line and per-block
@@ -237,16 +403,25 @@ pub trait Engine {
     /// The protocol being simulated.
     fn protocol(&self) -> Protocol;
 
-    /// References processed so far.
+    /// References processed so far (including the one in flight when
+    /// called from inside a step).
     fn steps(&self) -> u64;
 
     /// Processes one reference, reporting failure as a structured
     /// [`SimError`] instead of panicking.
     ///
+    /// Failure modes: a reference by a node outside the configuration
+    /// ([`SimError::NodeOutOfRange`], refused before the engine changes
+    /// at all), a coherence violation detected by the built-in checker
+    /// ([`SimError::Violation`]), or — under a fault plan — a
+    /// transaction that cannot be delivered within the plan's retry and
+    /// backoff budgets ([`SimError::RetryExhausted`],
+    /// [`SimError::Livelock`]).
+    ///
     /// # Errors
     ///
-    /// After an error the engine's state is not rolled back; a failed
-    /// simulation should be discarded, not resumed.
+    /// After any other error the engine's state is not rolled back; a
+    /// failed simulation should be discarded, not resumed.
     fn try_step(&mut self, r: MemRef) -> Result<StepInfo, SimError>;
 
     /// Processes one reference and reports how it resolved.
@@ -260,8 +435,25 @@ pub trait Engine {
     }
 
     /// Sweeps the global invariants linking the directory to the
-    /// caches, reporting the first broken one.
+    /// caches, reporting the first broken one:
+    /// * a directory copy set disagrees with actual cache residency;
+    /// * a block has an exclusive-state copy alongside other copies
+    ///   (single-writer / multiple-reader);
+    /// * the directory `dirty` bit disagrees with the caches;
+    /// * a clean block's memory version is stale.
     fn verify(&self) -> Result<(), Violation>;
+
+    /// [`Engine::verify`] for assertion-style tests.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the violation's `Display` form when an invariant is
+    /// broken.
+    fn check_invariants(&self) {
+        if let Err(v) = self.verify() {
+            panic!("{v}");
+        }
+    }
 
     /// Message tally so far.
     fn messages(&self) -> MessageBreakdown;
@@ -273,7 +465,9 @@ pub trait Engine {
     fn line_state(&self, node: NodeId, block: BlockAddr) -> Option<LineState>;
 
     /// The version tag a node's resident copy of `block` holds, if the
-    /// block is resident there.
+    /// block is resident there. Inspection hook for external checkers
+    /// (`mcc-check`): a correct protocol keeps every resident copy at
+    /// the latest written version.
     fn line_version(&self, node: NodeId, block: BlockAddr) -> Option<u64>;
 
     /// The directory entry of `block` (by value — the fast engine
@@ -281,8 +475,8 @@ pub trait Engine {
     /// referenced.
     fn dir_entry(&self, block: BlockAddr) -> Option<DirEntry>;
 
-    /// The latest version written to `block` by anyone. Zero for
-    /// never-written blocks.
+    /// The latest version written to `block` by anyone — the write
+    /// oracle's ground truth. Zero for never-written blocks.
     fn latest_version(&self, block: BlockAddr) -> u64;
 
     /// The version `block`'s home memory holds (zero before the first
@@ -291,83 +485,39 @@ pub trait Engine {
 
     /// Every resident cache line as `(node, block, state, version)`,
     /// ordered by node; the order within a node is implementation
-    /// defined.
+    /// defined. Cost is linear in resident lines.
     fn resident_lines(&self) -> Vec<(NodeId, BlockAddr, LineState, u64)>;
 
-    /// Attaches (`Some`) or detaches (`None`) the observability sink.
+    /// Attaches (`Some`) or detaches (`None`) the observability sink
+    /// in place — used when restoring from a checkpoint, since
+    /// snapshots deliberately exclude sinks.
     fn set_sink(&mut self, sink: Option<SharedSink>);
 
-    /// Captures the engine's complete replayable state. Snapshots from
-    /// either implementation are interchangeable: a reference-captured
-    /// snapshot restores into a fast engine and vice versa.
+    /// Attaches an observability sink: every subsequent step streams
+    /// structured [`mcc_obs::Event`]s (reference outcomes, migratory
+    /// promotions/demotions with the triggering detection rule,
+    /// invalidations, fault NACK/retry/backoff) into it.
+    #[must_use]
+    fn with_sink(mut self, sink: SharedSink) -> Self
+    where
+        Self: Sized,
+    {
+        self.set_sink(Some(sink));
+        self
+    }
+
+    /// Captures the engine's complete replayable state. Cheap relative
+    /// to simulation: one pass over resident lines and directory
+    /// entries. Snapshots from either implementation are
+    /// interchangeable: the two capture byte-identical snapshots of the
+    /// same logical state, so a reference-captured snapshot restores
+    /// into a fast engine and vice versa.
     fn snapshot(&self) -> EngineSnapshot;
 
     /// Consumes the engine and returns the tally.
     fn finish(self) -> SimResult
     where
         Self: Sized;
-}
-
-impl Engine for DirectoryEngine {
-    fn protocol(&self) -> Protocol {
-        self.protocol()
-    }
-
-    fn steps(&self) -> u64 {
-        self.steps()
-    }
-
-    fn try_step(&mut self, r: MemRef) -> Result<StepInfo, SimError> {
-        self.try_step(r)
-    }
-
-    fn verify(&self) -> Result<(), Violation> {
-        self.verify()
-    }
-
-    fn messages(&self) -> MessageBreakdown {
-        self.messages()
-    }
-
-    fn events(&self) -> EventCounts {
-        self.events()
-    }
-
-    fn line_state(&self, node: NodeId, block: BlockAddr) -> Option<LineState> {
-        self.line_state(node, block)
-    }
-
-    fn line_version(&self, node: NodeId, block: BlockAddr) -> Option<u64> {
-        self.line_version(node, block)
-    }
-
-    fn dir_entry(&self, block: BlockAddr) -> Option<DirEntry> {
-        self.entry(block).cloned()
-    }
-
-    fn latest_version(&self, block: BlockAddr) -> u64 {
-        self.latest_version(block)
-    }
-
-    fn memory_version(&self, block: BlockAddr) -> u64 {
-        self.memory_version(block)
-    }
-
-    fn resident_lines(&self) -> Vec<(NodeId, BlockAddr, LineState, u64)> {
-        self.resident_lines()
-    }
-
-    fn set_sink(&mut self, sink: Option<SharedSink>) {
-        self.set_sink(sink)
-    }
-
-    fn snapshot(&self) -> EngineSnapshot {
-        self.snapshot()
-    }
-
-    fn finish(self) -> SimResult {
-        self.finish()
-    }
 }
 
 /// A runtime-selected [`Engine`]: the reference implementation or the
@@ -471,14 +621,7 @@ impl AnyEngine {
     /// model described by `plan`.
     #[must_use]
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        dispatch!(&mut self, e => e.ledger.faults = Some(FaultInjector::new(plan)));
-        self
-    }
-
-    /// Attaches an observability sink.
-    #[must_use]
-    pub fn with_sink(mut self, sink: SharedSink) -> Self {
-        self.set_sink(Some(sink));
+        dispatch!(&mut self, e => e.frame.ledger.faults = Some(FaultInjector::new(plan)));
         self
     }
 
@@ -486,7 +629,7 @@ impl AnyEngine {
     /// framing (shard / checkpoint lifecycle events) that happens
     /// between steps.
     pub(crate) fn emit_obs(&self, event: &ObsEvent) {
-        dispatch!(self, e => e.ledger.emit(event))
+        dispatch!(self, e => e.frame.ledger.emit(event))
     }
 
     /// Overwrites the version tag of a resident line (testing hook; see
@@ -501,17 +644,6 @@ impl AnyEngine {
     #[doc(hidden)]
     pub fn poison_latest_version(&mut self, block: BlockAddr, version: u64) {
         dispatch!(self, e => e.poison_latest_version(block, version))
-    }
-
-    /// Verifies global invariants, panicking when one is broken.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the violation's `Display` form.
-    pub fn check_invariants(&self) {
-        if let Err(v) = Engine::verify(self) {
-            panic!("{v}");
-        }
     }
 }
 
@@ -549,10 +681,7 @@ impl Engine for AnyEngine {
     }
 
     fn dir_entry(&self, block: BlockAddr) -> Option<DirEntry> {
-        match self {
-            AnyEngine::Reference(e) => e.entry(block).cloned(),
-            AnyEngine::Fast(e) => e.dir_entry(block),
-        }
+        dispatch!(self, e => e.dir_entry(block))
     }
 
     fn latest_version(&self, block: BlockAddr) -> u64 {
@@ -576,18 +705,147 @@ impl Engine for AnyEngine {
     }
 
     fn finish(self) -> SimResult {
-        match self {
-            AnyEngine::Reference(e) => e.finish(),
-            AnyEngine::Fast(e) => e.finish(),
-        }
+        dispatch!(self, e => e.finish())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::Checkpoint;
+    use crate::run::RunSpec;
+    use crate::sim::DirectorySim;
     use mcc_cache::CacheGeometry;
     use mcc_trace::{Addr, BlockSize, Trace};
+
+    const KINDS: [EngineKind; 2] = [EngineKind::Reference, EngineKind::Fast];
+
+    /// Nodes 0 and 1 hand block 0 back and forth; nodes 2 and up never
+    /// touch it.
+    fn handoffs() -> Trace {
+        let mut trace = Trace::new();
+        for turn in 0..8u16 {
+            let node = NodeId::new(turn % 2);
+            trace.push(MemRef::read(node, Addr::new(0)));
+            trace.push(MemRef::write(node, Addr::new(0)));
+        }
+        trace
+    }
+
+    /// `snap` with `holder` added to block 0's directory copy set, where
+    /// `holder` has no cache line.
+    fn with_phantom_holder(snap: &EngineSnapshot, holder: u16) -> EngineSnapshot {
+        let mut tampered = snap.clone();
+        let (_, entry) = tampered.dir.iter_mut().find(|(b, _)| *b == 0).unwrap();
+        entry.copyset.insert(NodeId::new(holder));
+        tampered
+    }
+
+    fn restore(kind: EngineKind, snap: &EngineSnapshot) -> Result<AnyEngine, String> {
+        let config = DirectorySimConfig::default();
+        let placement = PagePlacement::round_robin(config.nodes);
+        AnyEngine::from_snapshot(kind, snap, Protocol::Basic, &config, placement, None)
+    }
+
+    #[test]
+    fn both_kinds_refuse_the_same_impossible_snapshots() {
+        let config = DirectorySimConfig::default();
+        let placement = PagePlacement::round_robin(config.nodes);
+        let mut engine = AnyEngine::new(EngineKind::Reference, Protocol::Basic, &config, placement);
+        let mut trace = handoffs();
+        // Nodes 2 and 3 share block 1 (address 16), read-only.
+        trace.push(MemRef::read(NodeId::new(2), Addr::new(16)));
+        trace.push(MemRef::read(NodeId::new(3), Addr::new(16)));
+        for r in trace.iter() {
+            engine.step(*r);
+        }
+        let snap = engine.snapshot();
+        for kind in KINDS {
+            assert!(restore(kind, &snap).is_ok(), "{kind:?}");
+        }
+        let mut cases = Vec::new();
+        // A holder inside the machine, and one past its last node.
+        for holder in [3, 100] {
+            cases.push(("cache residency", with_phantom_holder(&snap, holder)));
+        }
+        // A cache line the directory does not know.
+        let mut stray = snap.clone();
+        stray.caches[5].push((77, LineState::Shared, 0));
+        cases.push(("cache residency", stray));
+        // Block 0's row again, emptied: restored last, it would leave
+        // block 0's holder unknown to the directory.
+        let mut repeated = snap.clone();
+        let mut row = repeated.dir[0].clone();
+        row.1.copyset = CopySet::new();
+        repeated.dir.insert(1, row);
+        cases.push(("out of block order", repeated));
+        // Two holders of block 1 that disagree on its version, and two
+        // of which one claims exclusivity.
+        let at = snap.caches[3].iter().position(|&(b, ..)| b == 1).unwrap();
+        let mut stale = snap.clone();
+        stale.caches[3][at].2 = 9;
+        cases.push(("disagree on version", stale));
+        let mut exclusive = snap.clone();
+        exclusive.caches[3][at].1 = LineState::Exclusive;
+        cases.push(("not all Shared", exclusive));
+        for (why, tampered) in &cases {
+            let errors = KINDS.map(|kind| restore(kind, tampered).unwrap_err());
+            assert_eq!(errors[0], errors[1]);
+            assert!(errors[0].contains(why), "{}", errors[0]);
+        }
+    }
+
+    #[test]
+    fn resuming_a_checkpoint_with_a_phantom_holder_is_a_bad_checkpoint() {
+        let trace = handoffs();
+        for kind in KINDS {
+            let sim = DirectorySim::new(Protocol::Basic, &DirectorySimConfig::default())
+                .with_engine(kind);
+            for holder in [3, 100] {
+                let mut ckpt = sim.checkpoint_after(&trace, 1, 6).unwrap();
+                let snap = &mut ckpt.shards[0].engine;
+                *snap = with_phantom_holder(snap, holder);
+                let mut bytes = Vec::new();
+                ckpt.write_to(&mut bytes).unwrap();
+                let saved = Checkpoint::read_from(&mut bytes.as_slice()).unwrap();
+                let spec = RunSpec {
+                    resume: Some(&saved),
+                    ..RunSpec::default()
+                };
+                match sim
+                    .execute(&trace, &spec)
+                    .and_then(|report| report.merged())
+                {
+                    Err(SimError::BadCheckpoint { reason }) => {
+                        assert!(reason.contains("cache residency"), "{reason}")
+                    }
+                    other => panic!("{kind:?}, holder {holder}: {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn both_kinds_refuse_an_out_of_range_node_before_counting_it() {
+        let config = DirectorySimConfig::default();
+        let outside = MemRef::write(NodeId::new(config.nodes), Addr::new(0));
+        let errors = KINDS.map(|kind| {
+            let placement = PagePlacement::round_robin(config.nodes);
+            let mut engine = AnyEngine::new(kind, Protocol::Basic, &config, placement);
+            engine.step(MemRef::read(NodeId::new(1), Addr::new(0)));
+            let err = engine.try_step(outside).unwrap_err();
+            assert_eq!(engine.steps(), 1, "{kind:?}");
+            err
+        });
+        assert_eq!(errors[0], errors[1]);
+        assert_eq!(
+            errors[0],
+            SimError::NodeOutOfRange {
+                node: outside.node,
+                nodes: config.nodes
+            }
+        );
+    }
 
     #[test]
     fn finite_caches_fall_back_to_the_reference_engine() {

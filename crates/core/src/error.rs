@@ -10,10 +10,10 @@
 //! a violation can be logged, asserted on, or rendered for a human
 //! without unwinding the stack.
 //!
-//! [`DirectoryEngine::try_step`](crate::DirectoryEngine::try_step)
-//! returns `Result<_, SimError>`; the panicking wrappers
-//! ([`step`](crate::DirectoryEngine::step),
-//! [`check_invariants`](crate::DirectoryEngine::check_invariants))
+//! [`Engine::try_step`](crate::Engine::try_step) returns
+//! `Result<_, SimError>`; the panicking wrappers
+//! ([`step`](crate::Engine::step),
+//! [`check_invariants`](crate::Engine::check_invariants))
 //! format these same types, so panic messages and error reports never
 //! diverge.
 
@@ -65,9 +65,9 @@ impl ViolationKind {
 
 /// A coherence violation, with everything needed to diagnose it.
 ///
-/// Produced by [`DirectoryEngine::verify`](crate::DirectoryEngine::verify)
-/// and by the per-reference checker inside
-/// [`try_step`](crate::DirectoryEngine::try_step). The `Display` form is
+/// Produced by [`Engine::verify`](crate::Engine::verify) and by the
+/// per-reference checker inside
+/// [`try_step`](crate::Engine::try_step). The `Display` form is
 /// the exact message the legacy panicking API emits.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Violation {
@@ -198,7 +198,8 @@ pub enum SimError {
     },
     /// A streamed trace could not be read: the file went away, was
     /// truncated mid-pass, or held an invalid record. Streaming runs
-    /// surface the underlying [`ReadTraceError`]'s rendering here
+    /// surface the underlying
+    /// [`ReadTraceError`](mcc_trace::ReadTraceError)'s rendering here
     /// instead of panicking mid-simulation.
     TraceUnreadable {
         /// Human-readable diagnosis from the trace reader.

@@ -25,13 +25,16 @@
 //! are all `Shared`; a single holder's state is stored in two flag
 //! bits.
 //!
-//! Only the Figure 3 transitions (`hit`/`miss`) are written for the
-//! dense rows. Everything around them is the reference engine's own
-//! code: the shared `Ledger` (`engine.rs`) emits each event inline as
+//! The engine implements [`Engine`] directly, and writes only what its
+//! dense rows need: the tables, the Figure 3 transitions (`hit`/`miss`),
+//! the inspection bodies and the table half of snapshot conversion.
+//! Everything around them is the reference engine's own code: the
+//! shared `Frame` (`engine.rs`) opens each step (refusing a node outside
+//! the machine), captures and restores the non-table half of a
+//! snapshot, and carries the `Ledger`, which emits each event inline as
 //! the transition it describes happens, exactly as the reference engine
-//! does, and fault delivery goes through the same
-//! [`TransactionShape`] rule and
-//! [`FaultInjector`](crate::FaultInjector) delivery loop.
+//! does; fault delivery goes through the same [`TransactionShape`] rule
+//! and [`FaultInjector`](crate::FaultInjector) delivery loop.
 //!
 //! The engine requires [`CacheConfig::Infinite`](mcc_cache::CacheConfig)
 //! — dense tables model residency per block, not per cache set —
@@ -40,18 +43,17 @@
 
 use mcc_obs::{Rule, SharedSink};
 use mcc_placement::PagePlacement;
-use mcc_trace::{BlockAddr, BlockSize, MemOp, MemRef, NodeId};
+use mcc_trace::{BlockAddr, MemOp, MemRef, NodeId};
 
 use crate::checkpoint::EngineSnapshot;
 use crate::directory::{CopiesCreated, CopySet, DirEntry, ReadMissAction, Reclassification};
-use crate::engine::{Engine, Ledger};
+use crate::engine::{Engine, Frame};
 use crate::error::{SimError, Violation, ViolationKind};
 use crate::faults::{FaultPlan, TransactionShape};
 use crate::msg::{charge, OpKind};
-use crate::policy::{AdaptivePolicy, Protocol};
-use crate::repr::DirectoryRepr;
+use crate::policy::Protocol;
 use crate::result::{EventCounts, MessageBreakdown, SimResult};
-use crate::sim::{DirectorySimConfig, LineState, StepInfo, StepKind, NEVER_ADAPT};
+use crate::sim::{DirectorySimConfig, LineState, StepInfo, StepKind};
 
 // Packed per-block flag word layout (16 bits used):
 //   bit 0      directory dirty bit
@@ -126,13 +128,8 @@ const fn mix(key: u64) -> u64 {
 /// `tests/fast_engine_parity.rs` and DESIGN.md §13).
 #[derive(Clone, Debug)]
 pub struct FastEngine {
-    protocol: Protocol,
-    policy: AdaptivePolicy,
-    pure_migratory: bool,
-    nodes: u16,
-    block_size: BlockSize,
-    repr: DirectoryRepr,
-    placement: PagePlacement,
+    /// Protocol, machine shape, RWITM flag and ledger.
+    pub(crate) frame: Frame,
     /// Open-addressing index: `block.index() + 1` (0 = empty slot) →
     /// position in `slot_ids`. Linear probing, power-of-two capacity.
     keys: Vec<u64>,
@@ -152,9 +149,6 @@ pub struct FastEngine {
     line_version: Vec<u64>,
     mem_version: Vec<u64>,
     latest: Vec<u64>,
-    rwitm: bool,
-    /// Step counter, tallies, fault injector and sink.
-    pub(crate) ledger: Ledger,
 }
 
 impl FastEngine {
@@ -165,15 +159,8 @@ impl FastEngine {
         config: &DirectorySimConfig,
         placement: PagePlacement,
     ) -> Self {
-        let policy = protocol.policy().unwrap_or(NEVER_ADAPT);
         FastEngine {
-            protocol,
-            policy,
-            pure_migratory: protocol == Protocol::PureMigratory,
-            nodes: config.nodes,
-            block_size: config.block_size,
-            repr: config.directory,
-            placement,
+            frame: Frame::new(protocol, config, placement),
             keys: Vec::new(),
             slot_ids: Vec::new(),
             table_mask: 0,
@@ -185,13 +172,7 @@ impl FastEngine {
             line_version: Vec::new(),
             mem_version: Vec::new(),
             latest: Vec::new(),
-            rwitm: false,
-            ledger: Ledger::default(),
         }
-    }
-
-    pub(crate) fn set_sink(&mut self, sink: Option<SharedSink>) {
-        self.ledger.sink = sink;
     }
 
     // ---- index ----------------------------------------------------
@@ -243,7 +224,8 @@ impl FastEngine {
         self.blocks.push(block);
         self.home.push(home);
         self.copyset.push(CopySet::new());
-        self.flags.push(pack_entry(&DirEntry::new(self.policy), 0));
+        self.flags
+            .push(pack_entry(&DirEntry::new(self.frame.policy), 0));
         self.last_inv.push(0);
         self.line_version.push(0);
         self.mem_version.push(0);
@@ -259,10 +241,7 @@ impl FastEngine {
     fn ensure_slot(&mut self, block: BlockAddr) -> usize {
         match self.lookup(block) {
             Some(slot) => slot,
-            None => {
-                let home = self.placement.home_of_block(block, self.block_size);
-                self.create_slot(block, home)
-            }
+            None => self.create_slot(block, self.frame.home_of(block)),
         }
     }
 
@@ -318,54 +297,6 @@ impl FastEngine {
 
     // ---- stepping -------------------------------------------------
 
-    /// Processes one reference; see
-    /// [`DirectoryEngine::try_step`](crate::DirectoryEngine::try_step)
-    /// for the error contract (identical).
-    ///
-    /// # Errors
-    ///
-    /// After an error the engine's state is not rolled back; a failed
-    /// simulation should be discarded, not resumed.
-    pub(crate) fn try_step(&mut self, r: MemRef) -> Result<StepInfo, SimError> {
-        let block = r.addr.block(self.block_size);
-        if r.node.index() >= usize::from(self.nodes) {
-            return Err(SimError::NodeOutOfRange {
-                node: r.node,
-                nodes: self.nodes,
-            });
-        }
-        self.ledger.steps += 1;
-        let (n, op) = (r.node, r.op);
-        let slot = self.lookup(block);
-        let home = match slot {
-            Some(s) => self.home[s],
-            None => self.placement.home_of_block(block, self.block_size),
-        };
-        let backoff = if self.ledger.faults.is_none() {
-            0
-        } else {
-            // Reads the rows without creating a slot, as the reference
-            // engine reads its directory without creating an entry.
-            let shape = TransactionShape::of(
-                r,
-                home,
-                self.rwitm,
-                slot.filter(|&s| self.copyset[s].contains(n))
-                    .map(|s| self.holder_state(s)),
-                slot.map(|s| (self.dirty_at(s), &self.copyset[s], self.overflowed_at(s))),
-                self.repr,
-                self.nodes,
-            );
-            self.ledger.deliver(block, n, shape)?
-        };
-        let before = self.ledger.messages.critical_path();
-        let kind = match slot {
-            Some(s) if self.copyset[s].contains(n) => self.hit(s, n, block, home, op)?,
-            _ => self.miss(slot, n, block, home, op)?,
-        };
-        Ok(self.ledger.stepped(block, n, home, kind, before, backoff))
-    }
-
     fn hit(
         &mut self,
         slot: usize,
@@ -381,74 +312,77 @@ impl FastEngine {
         self.observe(slot, block, version, "cache hit")?;
         Ok(match op {
             MemOp::Read => {
-                self.ledger.events.read_hits += 1;
+                self.frame.ledger.events.read_hits += 1;
                 StepKind::ReadHit
             }
             MemOp::Write => {
                 let kind = match state {
                     LineState::Dirty => {
-                        self.ledger.events.silent_write_hits += 1;
+                        self.frame.ledger.events.silent_write_hits += 1;
                         StepKind::SilentWrite
                     }
                     LineState::MigratoryClean => {
-                        self.ledger.events.write_grants_used += 1;
+                        self.frame.ledger.events.write_grants_used += 1;
                         self.flags[slot] |= F_DIRTY;
                         self.set_sstate(slot, LineState::Dirty);
                         StepKind::GrantedWrite
                     }
                     LineState::Exclusive => {
-                        self.ledger.events.exclusive_upgrades += 1;
-                        self.ledger.messages.write_hit +=
+                        self.frame.ledger.events.exclusive_upgrades += 1;
+                        self.frame.ledger.messages.write_hit +=
                             charge(OpKind::WriteHit, home == n, false, 0);
                         let mut e = self.entry_at(slot);
-                        let rc = if self.pure_migratory {
+                        let rc = if self.frame.pure_migratory {
                             e.last_invalidator = Some(n);
                             e.dirty = true;
                             Reclassification::Unchanged
                         } else {
-                            e.on_write_hit_clean_exclusive(self.policy, n)
+                            e.on_write_hit_clean_exclusive(self.frame.policy, n)
                         };
                         self.store_entry(slot, e);
-                        self.ledger
+                        self.frame
+                            .ledger
                             .reclassified(rc, block, n, Rule::WriteHitCleanExclusive);
                         self.set_sstate(slot, LineState::Dirty);
                         StepKind::ExclusiveUpgrade
                     }
                     LineState::Shared => {
-                        self.ledger.events.shared_upgrades += 1;
+                        self.frame.ledger.events.shared_upgrades += 1;
                         let mut e = self.entry_at(slot);
-                        let dc = self.repr.charged_distant_copies(
+                        let dc = self.frame.repr.charged_distant_copies(
                             &e.copyset,
                             e.overflowed,
                             n,
                             home,
-                            self.nodes,
+                            self.frame.nodes,
                         );
                         let was_overflowed = e.overflowed;
                         let others = e.copyset.clone();
-                        let rc = if self.pure_migratory {
+                        let rc = if self.frame.pure_migratory {
                             e.created = CopiesCreated::One;
                             e.last_invalidator = Some(n);
                             e.dirty = true;
                             Reclassification::Unchanged
                         } else {
-                            e.on_write_hit_shared(self.policy, n)
+                            e.on_write_hit_shared(self.frame.policy, n)
                         };
                         e.copyset = CopySet::only(n);
                         e.overflowed = false;
                         self.store_entry(slot, e);
                         if was_overflowed {
-                            self.ledger.events.broadcast_invalidations += 1;
+                            self.frame.ledger.events.broadcast_invalidations += 1;
                         }
-                        self.ledger.messages.write_hit +=
+                        self.frame.ledger.messages.write_hit +=
                             charge(OpKind::WriteHit, home == n, false, dc);
                         for m in others.iter() {
                             if m == n {
                                 continue;
                             }
-                            self.ledger.invalidated(block, m);
+                            self.frame.ledger.invalidated(block, m);
                         }
-                        self.ledger.reclassified(rc, block, n, Rule::WriteHitShared);
+                        self.frame
+                            .ledger
+                            .reclassified(rc, block, n, Rule::WriteHitShared);
                         self.set_sstate(slot, LineState::Dirty);
                         StepKind::SharedUpgrade
                     }
@@ -474,15 +408,14 @@ impl FastEngine {
             Some(s) => s,
             None => self.create_slot(block, home),
         };
-        let pure = self.pure_migratory;
+        let (pure, repr) = (self.frame.pure_migratory, self.frame.repr);
         let dirty = self.dirty_at(slot);
         let was_overflowed = self.overflowed_at(slot);
         let copyset_before = self.copyset[slot].clone();
         let dc = if dirty {
             copyset_before.distant_count(n, home)
         } else {
-            self.repr
-                .charged_distant_copies(&copyset_before, was_overflowed, n, home, self.nodes)
+            repr.charged_distant_copies(&copyset_before, was_overflowed, n, home, self.frame.nodes)
         };
         debug_assert!(!copyset_before.contains(n), "missing node holds a copy");
         // A single holder's copy is dirty iff its line state says so;
@@ -490,10 +423,11 @@ impl FastEngine {
         let single_dirty =
             copyset_before.single().is_some() && self.holder_state(slot) == LineState::Dirty;
         Ok(match op {
-            MemOp::Read if self.rwitm => {
-                self.ledger.events.read_misses += 1;
-                self.ledger.events.migrations += 1;
-                self.ledger.messages.read_miss += charge(OpKind::WriteMiss, home == n, dirty, dc);
+            MemOp::Read if self.frame.rwitm => {
+                self.frame.ledger.events.read_misses += 1;
+                self.frame.ledger.events.migrations += 1;
+                self.frame.ledger.messages.read_miss +=
+                    charge(OpKind::WriteMiss, home == n, dirty, dc);
                 let mut served_from_owner = None;
                 for m in copyset_before.iter() {
                     if single_dirty {
@@ -501,7 +435,7 @@ impl FastEngine {
                         self.mem_version[slot] = v;
                         served_from_owner = Some(v);
                     }
-                    self.ledger.invalidated(block, m);
+                    self.frame.ledger.invalidated(block, m);
                 }
                 let served = served_from_owner.unwrap_or(self.mem_version[slot]);
                 self.observe(slot, block, served, "read-with-ownership")?;
@@ -517,26 +451,27 @@ impl FastEngine {
                 StepKind::ReadMissMigrate
             }
             MemOp::Read => {
-                self.ledger.events.read_misses += 1;
-                self.ledger.messages.read_miss += charge(OpKind::ReadMiss, home == n, dirty, dc);
+                self.frame.ledger.events.read_misses += 1;
+                self.frame.ledger.messages.read_miss +=
+                    charge(OpKind::ReadMiss, home == n, dirty, dc);
                 let (action, rc) = if pure && dirty {
                     (ReadMissAction::Migrate, Reclassification::Unchanged)
                 } else {
                     let mut e = self.entry_at(slot);
-                    let out = e.on_read_miss(self.policy);
+                    let out = e.on_read_miss(self.frame.policy);
                     self.store_entry(slot, e);
                     out
                 };
-                self.ledger.reclassified(rc, block, n, Rule::ReadMiss);
+                self.frame.ledger.reclassified(rc, block, n, Rule::ReadMiss);
                 match action {
                     ReadMissAction::Migrate => {
-                        self.ledger.events.migrations += 1;
+                        self.frame.ledger.events.migrations += 1;
                         let served = if let Some(owner) = copyset_before.single() {
                             let v = self.line_version[slot];
                             if single_dirty {
                                 self.mem_version[slot] = v;
                             }
-                            self.ledger.invalidated(block, owner);
+                            self.frame.ledger.invalidated(block, owner);
                             v
                         } else {
                             debug_assert!(copyset_before.is_empty());
@@ -553,7 +488,7 @@ impl FastEngine {
                         StepKind::ReadMissMigrate
                     }
                     ReadMissAction::Replicate => {
-                        self.ledger.events.replications += 1;
+                        self.frame.ledger.events.replications += 1;
                         let mut served_from_owner = None;
                         if copyset_before.single().is_some() {
                             // Demote the exclusive holder to Shared in
@@ -574,7 +509,7 @@ impl FastEngine {
                         // nothing else here).
                         self.copyset[slot].insert(n);
                         let mut f = self.flags[slot] & !F_DIRTY;
-                        if self.repr.overflows(self.copyset[slot].len()) {
+                        if repr.overflows(self.copyset[slot].len()) {
                             f |= F_OVERFLOWED;
                         }
                         self.flags[slot] = f;
@@ -587,8 +522,9 @@ impl FastEngine {
                 }
             }
             MemOp::Write => {
-                self.ledger.events.write_misses += 1;
-                self.ledger.messages.write_miss += charge(OpKind::WriteMiss, home == n, dirty, dc);
+                self.frame.ledger.events.write_misses += 1;
+                self.frame.ledger.messages.write_miss +=
+                    charge(OpKind::WriteMiss, home == n, dirty, dc);
                 let mut served_from_owner = None;
                 for m in copyset_before.iter() {
                     if single_dirty {
@@ -596,12 +532,12 @@ impl FastEngine {
                         self.mem_version[slot] = v;
                         served_from_owner = Some(v);
                     }
-                    self.ledger.invalidated(block, m);
+                    self.frame.ledger.invalidated(block, m);
                 }
                 let served = served_from_owner.unwrap_or(self.mem_version[slot]);
                 self.observe(slot, block, served, "write miss")?;
                 if was_overflowed {
-                    self.ledger.events.broadcast_invalidations += 1;
+                    self.frame.ledger.events.broadcast_invalidations += 1;
                 }
                 let mut e = self.entry_at(slot);
                 let rc = if pure {
@@ -610,12 +546,14 @@ impl FastEngine {
                     e.dirty = true;
                     Reclassification::Unchanged
                 } else {
-                    e.on_write_miss(self.policy, n)
+                    e.on_write_miss(self.frame.policy, n)
                 };
                 e.copyset = CopySet::only(n);
                 e.overflowed = false;
                 self.store_entry(slot, e);
-                self.ledger.reclassified(rc, block, n, Rule::WriteMiss);
+                self.frame
+                    .ledger
+                    .reclassified(rc, block, n, Rule::WriteMiss);
                 self.latest[slot] += 1;
                 self.set_sstate(slot, LineState::Dirty);
                 self.line_version[slot] = self.latest[slot];
@@ -637,7 +575,7 @@ impl FastEngine {
         } else {
             Err(Violation {
                 block,
-                step: self.ledger.steps,
+                step: self.frame.ledger.steps,
                 kind: ViolationKind::StaleRead { observed, latest },
                 context,
                 entry: Some(self.entry_at(slot)),
@@ -645,66 +583,7 @@ impl FastEngine {
         }
     }
 
-    // ---- inspection -----------------------------------------------
-
-    pub(crate) fn steps(&self) -> u64 {
-        self.ledger.steps
-    }
-
-    pub(crate) fn protocol(&self) -> Protocol {
-        self.protocol
-    }
-
-    pub(crate) fn messages(&self) -> MessageBreakdown {
-        self.ledger.messages
-    }
-
-    pub(crate) fn events(&self) -> EventCounts {
-        self.ledger.events
-    }
-
-    pub(crate) fn line_state(&self, node: NodeId, block: BlockAddr) -> Option<LineState> {
-        let slot = self.lookup(block)?;
-        self.copyset[slot]
-            .contains(node)
-            .then(|| self.holder_state(slot))
-    }
-
-    pub(crate) fn line_version(&self, node: NodeId, block: BlockAddr) -> Option<u64> {
-        let slot = self.lookup(block)?;
-        self.copyset[slot]
-            .contains(node)
-            .then(|| self.line_version[slot])
-    }
-
-    pub(crate) fn dir_entry(&self, block: BlockAddr) -> Option<DirEntry> {
-        self.lookup(block).map(|slot| self.entry_at(slot))
-    }
-
-    pub(crate) fn latest_version(&self, block: BlockAddr) -> u64 {
-        self.lookup(block).map_or(0, |slot| self.latest[slot])
-    }
-
-    pub(crate) fn memory_version(&self, block: BlockAddr) -> u64 {
-        self.lookup(block).map_or(0, |slot| self.mem_version[slot])
-    }
-
-    pub(crate) fn resident_lines(&self) -> Vec<(NodeId, BlockAddr, LineState, u64)> {
-        let mut out = Vec::new();
-        for node in NodeId::first(self.nodes) {
-            for slot in 0..self.blocks.len() {
-                if self.copyset[slot].contains(node) {
-                    out.push((
-                        node,
-                        self.blocks[slot],
-                        self.holder_state(slot),
-                        self.line_version[slot],
-                    ));
-                }
-            }
-        }
-        out
-    }
+    // ---- testing hooks --------------------------------------------
 
     /// Testing hook mirroring
     /// [`DirectoryEngine::poison_line_version`]
@@ -734,107 +613,14 @@ impl FastEngine {
         self.latest[slot] = version;
     }
 
-    /// Sweeps the global invariants; same checks as
-    /// [`DirectoryEngine::verify`](crate::DirectoryEngine::verify).
-    /// Copyset/residency agreement and the single-writer invariant hold
-    /// by representation (the copyset *is* residency, and multiple
-    /// holders are Shared by construction), so only the dirty-bit and
-    /// memory-freshness checks can fire.
-    pub(crate) fn verify(&self) -> Result<(), Violation> {
-        let sweep = "invariant sweep";
-        for slot in 0..self.blocks.len() {
-            let holders = &self.copyset[slot];
-            let any_dirty =
-                holders.single().is_some() && self.holder_state(slot) == LineState::Dirty;
-            if self.dirty_at(slot) != any_dirty {
-                return Err(Violation {
-                    block: self.blocks[slot],
-                    step: self.ledger.steps,
-                    kind: ViolationKind::DirtyBitMismatch,
-                    context: sweep,
-                    entry: Some(self.entry_at(slot)),
-                });
-            }
-            if !any_dirty && self.mem_version[slot] != self.latest[slot] {
-                return Err(Violation {
-                    block: self.blocks[slot],
-                    step: self.ledger.steps,
-                    kind: ViolationKind::StaleMemory {
-                        memory: self.mem_version[slot],
-                        latest: self.latest[slot],
-                    },
-                    context: sweep,
-                    entry: Some(self.entry_at(slot)),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    pub(crate) fn finish(self) -> SimResult {
-        self.ledger.finish(self.protocol)
-    }
-
     // ---- snapshot conversion --------------------------------------
 
-    /// Captures the engine's state as the engine-agnostic
-    /// [`EngineSnapshot`], byte-identical to what the reference engine
-    /// would capture in the same state: directory, memory-version and
-    /// latest-version rows in block order (version rows only where the
-    /// reference engine's maps would hold a key — every insertion there
-    /// carries a version ≥ 1), cache rows per node in block order
-    /// (the infinite cache's `snapshot_lines` order).
-    pub(crate) fn snapshot(&self) -> EngineSnapshot {
-        let mut order: Vec<usize> = (0..self.blocks.len()).collect();
-        order.sort_unstable_by_key(|&s| self.blocks[s].index());
-        let dir = order
-            .iter()
-            .map(|&s| (self.blocks[s].index(), self.entry_at(s)))
-            .collect();
-        let mem_version = order
-            .iter()
-            .filter(|&&s| self.mem_version[s] > 0)
-            .map(|&s| (self.blocks[s].index(), self.mem_version[s]))
-            .collect();
-        let latest = order
-            .iter()
-            .filter(|&&s| self.latest[s] > 0)
-            .map(|&s| (self.blocks[s].index(), self.latest[s]))
-            .collect();
-        let caches = (0..self.nodes)
-            .map(|node| {
-                let node = NodeId::new(node);
-                order
-                    .iter()
-                    .filter(|&&s| self.copyset[s].contains(node))
-                    .map(|&s| {
-                        (
-                            self.blocks[s].index(),
-                            self.holder_state(s),
-                            self.line_version[s],
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
-        EngineSnapshot {
-            rwitm: self.rwitm,
-            steps: self.ledger.steps,
-            injector_rng: self.ledger.faults.as_ref().map(|f| f.rng_state()),
-            messages: self.ledger.messages,
-            events: self.ledger.events,
-            caches,
-            dir,
-            mem_version,
-            latest,
-        }
-    }
-
     /// Rebuilds a fast engine from a snapshot (captured by either
-    /// implementation). The dense representation cannot express a
-    /// directory/cache desync or holders that disagree on a version —
-    /// states no correct engine produces — so such snapshots are
-    /// rejected with an error rather than restored inexactly.
+    /// implementation). The dense rows cannot express a directory/cache
+    /// desync, holders that disagree on a version or several holders
+    /// that are not all `Shared`; no correct engine produces those, and
+    /// the frame's restore refuses them on both engines, so the rows
+    /// never restore such a state inexactly.
     pub(crate) fn from_snapshot(
         snap: &EngineSnapshot,
         protocol: Protocol,
@@ -843,13 +629,7 @@ impl FastEngine {
         faults: Option<FaultPlan>,
     ) -> Result<FastEngine, String> {
         let mut engine = FastEngine::new(protocol, config, placement);
-        if snap.caches.len() != usize::from(config.nodes) {
-            return Err(format!(
-                "snapshot has {} node caches but the configuration has {} nodes",
-                snap.caches.len(),
-                config.nodes
-            ));
-        }
+        engine.frame.restore(snap, faults)?;
         for (block, entry) in &snap.dir {
             let slot = engine.ensure_slot(BlockAddr::new(*block));
             engine.store_entry(slot, entry.clone());
@@ -862,53 +642,14 @@ impl FastEngine {
             let slot = engine.ensure_slot(BlockAddr::new(block));
             engine.latest[slot] = version;
         }
-        let mut restored: Vec<CopySet> = vec![CopySet::new(); engine.blocks.len()];
-        for (node_idx, lines) in snap.caches.iter().enumerate() {
-            let node = NodeId::new(node_idx as u16);
-            for &(block, state, version) in lines {
-                let block = BlockAddr::new(block);
-                let slot = engine.ensure_slot(block);
-                if restored.len() < engine.blocks.len() {
-                    restored.resize(engine.blocks.len(), CopySet::new());
-                }
-                if restored[slot].contains(node) {
-                    return Err(format!(
-                        "duplicate cache line for {block} at node {node_idx}"
-                    ));
-                }
-                if restored[slot].is_empty() {
-                    engine.set_sstate(slot, state);
-                    engine.line_version[slot] = version;
-                } else {
-                    if engine.line_version[slot] != version {
-                        return Err(format!(
-                            "cache lines for {block} disagree on version; the fast \
-                             engine stores one version per block"
-                        ));
-                    }
-                    if state != LineState::Shared
-                        || sstate_decode(engine.flags[slot] >> SSTATE_SHIFT) != LineState::Shared
-                    {
-                        return Err(format!(
-                            "multiple cache lines for {block} are not all Shared; the \
-                             fast engine cannot represent that state"
-                        ));
-                    }
-                }
-                restored[slot].insert(node);
-            }
+        // The frame has refused several holders of a block that are not
+        // all Shared or disagree on its version, so the dense row's one
+        // state and one version hold whichever line sets them last.
+        for &(block, state, version) in snap.caches.iter().flatten() {
+            let slot = engine.ensure_slot(BlockAddr::new(block));
+            engine.set_sstate(slot, state);
+            engine.line_version[slot] = version;
         }
-        for (slot, residency) in restored.iter().enumerate() {
-            if engine.copyset[slot] != *residency {
-                return Err(format!(
-                    "snapshot directory copyset for {} disagrees with cache residency; \
-                     the fast engine cannot represent desynchronised state",
-                    engine.blocks[slot]
-                ));
-            }
-        }
-        engine.rwitm = snap.rwitm;
-        engine.ledger = Ledger::from_snapshot(snap, faults)?;
         Ok(engine)
     }
 }
@@ -934,63 +675,178 @@ fn pack_entry(e: &DirEntry, sstate: u32) -> u32 {
 
 impl Engine for FastEngine {
     fn protocol(&self) -> Protocol {
-        self.protocol()
+        self.frame.protocol
     }
 
     fn steps(&self) -> u64 {
-        self.steps()
+        self.frame.ledger.steps
     }
 
     fn try_step(&mut self, r: MemRef) -> Result<StepInfo, SimError> {
-        self.try_step(r)
+        let block = self.frame.open(r)?;
+        let (n, op) = (r.node, r.op);
+        let slot = self.lookup(block);
+        let home = match slot {
+            Some(s) => self.home[s],
+            None => self.frame.home_of(block),
+        };
+        let backoff = if self.frame.ledger.faults.is_none() {
+            0
+        } else {
+            // Reads the rows without creating a slot, as the reference
+            // engine reads its directory without creating an entry.
+            let shape = TransactionShape::of(
+                r,
+                home,
+                self.frame.rwitm,
+                slot.filter(|&s| self.copyset[s].contains(n))
+                    .map(|s| self.holder_state(s)),
+                slot.map(|s| (self.dirty_at(s), &self.copyset[s], self.overflowed_at(s))),
+                self.frame.repr,
+                self.frame.nodes,
+            );
+            self.frame.ledger.deliver(block, n, shape)?
+        };
+        let before = self.frame.ledger.messages.critical_path();
+        let kind = match slot {
+            Some(s) if self.copyset[s].contains(n) => self.hit(s, n, block, home, op)?,
+            _ => self.miss(slot, n, block, home, op)?,
+        };
+        let ledger = &self.frame.ledger;
+        Ok(ledger.stepped(block, n, home, kind, before, backoff))
     }
 
+    /// Copyset/residency agreement and the single-writer invariant hold
+    /// by representation (the copyset *is* residency, and multiple
+    /// holders are Shared by construction), so only the dirty-bit and
+    /// memory-freshness checks can fire.
     fn verify(&self) -> Result<(), Violation> {
-        self.verify()
+        let sweep = "invariant sweep";
+        for slot in 0..self.blocks.len() {
+            let holders = &self.copyset[slot];
+            let any_dirty =
+                holders.single().is_some() && self.holder_state(slot) == LineState::Dirty;
+            let kind = if self.dirty_at(slot) != any_dirty {
+                ViolationKind::DirtyBitMismatch
+            } else if !any_dirty && self.mem_version[slot] != self.latest[slot] {
+                ViolationKind::StaleMemory {
+                    memory: self.mem_version[slot],
+                    latest: self.latest[slot],
+                }
+            } else {
+                continue;
+            };
+            return Err(Violation {
+                block: self.blocks[slot],
+                step: self.frame.ledger.steps,
+                kind,
+                context: sweep,
+                entry: Some(self.entry_at(slot)),
+            });
+        }
+        Ok(())
     }
 
     fn messages(&self) -> MessageBreakdown {
-        self.messages()
+        self.frame.ledger.messages
     }
 
     fn events(&self) -> EventCounts {
-        self.events()
+        self.frame.ledger.events
     }
 
     fn line_state(&self, node: NodeId, block: BlockAddr) -> Option<LineState> {
-        self.line_state(node, block)
+        let slot = self.lookup(block)?;
+        self.copyset[slot]
+            .contains(node)
+            .then(|| self.holder_state(slot))
     }
 
     fn line_version(&self, node: NodeId, block: BlockAddr) -> Option<u64> {
-        self.line_version(node, block)
+        let slot = self.lookup(block)?;
+        self.copyset[slot]
+            .contains(node)
+            .then(|| self.line_version[slot])
     }
 
     fn dir_entry(&self, block: BlockAddr) -> Option<DirEntry> {
-        self.dir_entry(block)
+        self.lookup(block).map(|slot| self.entry_at(slot))
     }
 
     fn latest_version(&self, block: BlockAddr) -> u64 {
-        self.latest_version(block)
+        self.lookup(block).map_or(0, |slot| self.latest[slot])
     }
 
     fn memory_version(&self, block: BlockAddr) -> u64 {
-        self.memory_version(block)
+        self.lookup(block).map_or(0, |slot| self.mem_version[slot])
     }
 
     fn resident_lines(&self) -> Vec<(NodeId, BlockAddr, LineState, u64)> {
-        self.resident_lines()
+        let mut out = Vec::new();
+        for node in NodeId::first(self.frame.nodes) {
+            for slot in 0..self.blocks.len() {
+                if self.copyset[slot].contains(node) {
+                    out.push((
+                        node,
+                        self.blocks[slot],
+                        self.holder_state(slot),
+                        self.line_version[slot],
+                    ));
+                }
+            }
+        }
+        out
     }
 
     fn set_sink(&mut self, sink: Option<SharedSink>) {
-        self.set_sink(sink)
+        self.frame.ledger.sink = sink;
     }
 
+    /// Byte-identical to what the reference engine would capture in the
+    /// same state: directory, memory-version and latest-version rows in
+    /// block order (version rows only where the reference engine's maps
+    /// would hold a key — every insertion there carries a version ≥ 1),
+    /// cache rows per node in block order (the infinite cache's
+    /// `snapshot_lines` order).
     fn snapshot(&self) -> EngineSnapshot {
-        self.snapshot()
+        let mut order: Vec<usize> = (0..self.blocks.len()).collect();
+        order.sort_unstable_by_key(|&s| self.blocks[s].index());
+        let versions = |rows: &[u64]| -> Vec<(u64, u64)> {
+            order
+                .iter()
+                .filter(|&&s| rows[s] > 0)
+                .map(|&s| (self.blocks[s].index(), rows[s]))
+                .collect()
+        };
+        let caches = NodeId::first(self.frame.nodes)
+            .map(|node| {
+                order
+                    .iter()
+                    .filter(|&&s| self.copyset[s].contains(node))
+                    .map(|&s| {
+                        (
+                            self.blocks[s].index(),
+                            self.holder_state(s),
+                            self.line_version[s],
+                        )
+                    })
+                    .collect()
+            })
+            .collect();
+        EngineSnapshot {
+            caches,
+            dir: order
+                .iter()
+                .map(|&s| (self.blocks[s].index(), self.entry_at(s)))
+                .collect(),
+            mem_version: versions(&self.mem_version),
+            latest: versions(&self.latest),
+            ..self.frame.capture()
+        }
     }
 
     fn finish(self) -> SimResult {
-        self.finish()
+        self.frame.ledger.finish(self.frame.protocol)
     }
 }
 
@@ -998,7 +854,7 @@ impl Engine for FastEngine {
 mod tests {
     use super::*;
     use crate::msg::MessageCount;
-    use mcc_trace::Addr;
+    use mcc_trace::{Addr, BlockSize};
 
     fn fast(protocol: Protocol) -> FastEngine {
         let config = DirectorySimConfig::default();

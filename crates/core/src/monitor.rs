@@ -1,7 +1,7 @@
 //! Non-panicking invariant monitoring.
 //!
-//! [`DirectoryEngine::verify`](crate::DirectoryEngine::verify) sweeps
-//! the global invariants and returns a structured
+//! [`Engine::verify`](crate::Engine::verify) sweeps the global
+//! invariants and returns a structured
 //! [`Violation`](crate::Violation) instead of panicking; [`Monitor`]
 //! schedules those sweeps over a long run — checking after every
 //! reference would make simulation quadratic, so the monitor samples at
@@ -30,7 +30,7 @@ use crate::error::{Violation, ViolationKind};
 /// # Examples
 ///
 /// ```
-/// use mcc_core::{DirectoryEngine, DirectorySimConfig, Monitor, Protocol};
+/// use mcc_core::{DirectoryEngine, DirectorySimConfig, Engine, Monitor, Protocol};
 /// use mcc_placement::PagePlacement;
 /// use mcc_trace::{Addr, MemRef, NodeId};
 ///

@@ -563,8 +563,8 @@ enum Note {
 
 impl DirectorySim {
     /// Runs `source` as `spec` says — the one executor every other run
-    /// method calls. See the [module documentation](self) for the
-    /// pipeline and [`RunSpec`] for the choices.
+    /// method calls. See DESIGN.md §9 for the pipeline and [`RunSpec`]
+    /// for the choices.
     ///
     /// # Errors
     ///

@@ -22,12 +22,13 @@ use mcc_obs::{Rule, SharedSink};
 use mcc_placement::PagePlacement;
 use mcc_trace::{BlockAddr, BlockSize, MemOp, MemRef, NodeId, Trace};
 
+use crate::checkpoint::EngineSnapshot;
 use crate::directory::{CopySet, DirEntry, ReadMissAction, Reclassification};
-use crate::engine::{EngineKind, Ledger};
+use crate::engine::{Engine, EngineKind, Frame};
 use crate::error::{SimError, Violation, ViolationKind};
 use crate::faults::{FaultInjector, FaultPlan, TransactionShape};
 use crate::msg::{charge, charge_eviction, MessageCount, OpKind};
-use crate::policy::{AdaptivePolicy, Protocol};
+use crate::policy::Protocol;
 use crate::repr::DirectoryRepr;
 use crate::result::{EventCounts, MessageBreakdown, SimResult};
 use crate::run::RunSpec;
@@ -110,8 +111,8 @@ struct Line {
     version: u64,
 }
 
-/// Per-block residency accumulator for [`DirectoryEngine::verify`]'s
-/// invariant sweep.
+/// Per-block residency accumulator for the reference engine's
+/// [`Engine::verify`] sweep.
 #[derive(Clone, Debug, Default)]
 struct Residency {
     holders: CopySet,
@@ -177,7 +178,7 @@ impl StepKind {
     }
 }
 
-/// Per-reference outcome returned by [`DirectoryEngine::step`], used by
+/// Per-reference outcome returned by [`Engine::step`], used by
 /// the execution-driven timing simulator to attach latencies and model
 /// memory-controller contention.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -305,21 +306,13 @@ impl DirectorySim {
     }
 }
 
-/// Sentinel policy for the non-adaptive protocols: never classifies a
-/// block as migratory.
-pub(crate) const NEVER_ADAPT: AdaptivePolicy = AdaptivePolicy {
-    initial_migratory: false,
-    events_required: u8::MAX,
-    remember_when_uncached: false,
-    demote_on_write_miss: false,
-};
-
-/// The steppable protocol engine underneath [`DirectorySim`].
+/// The steppable protocol engine underneath [`DirectorySim`], driven
+/// through the [`Engine`] trait.
 ///
 /// # Examples
 ///
 /// ```
-/// use mcc_core::{DirectoryEngine, DirectorySimConfig, LineState, Protocol};
+/// use mcc_core::{DirectoryEngine, DirectorySimConfig, Engine, LineState, Protocol};
 /// use mcc_placement::PagePlacement;
 /// use mcc_trace::{Addr, BlockSize, MemRef, NodeId};
 ///
@@ -335,149 +328,59 @@ pub(crate) const NEVER_ADAPT: AdaptivePolicy = AdaptivePolicy {
 /// ```
 #[derive(Clone, Debug)]
 pub struct DirectoryEngine {
-    protocol: Protocol,
-    policy: AdaptivePolicy,
-    pure_migratory: bool,
-    nodes: u16,
-    block_size: BlockSize,
-    repr: DirectoryRepr,
-    placement: PagePlacement,
+    /// Protocol, machine shape, RWITM flag and ledger.
+    pub(crate) frame: Frame,
     caches: Vec<Cache<Line>>,
     dir: HashMap<BlockAddr, DirEntry>,
     /// Version held by main memory at the home, per block.
     mem_version: HashMap<BlockAddr, u64>,
     /// Latest version written anywhere, per block (the checker's truth).
     latest: HashMap<BlockAddr, u64>,
-    /// One-shot flag set by [`DirectoryEngine::step_hinted`]: service the
-    /// next read miss as a read-with-ownership.
-    rwitm: bool,
-    /// Step counter, tallies, fault injector and sink.
-    pub(crate) ledger: Ledger,
-    /// Scratch table reused by [`DirectoryEngine::verify`]'s residency
-    /// sweep: cleared (capacity retained) on each call so repeated
-    /// monitor sweeps don't reallocate. `RefCell` because `verify`
-    /// takes `&self`; engines cross threads by move, never by sharing,
-    /// so interior mutability is safe here.
+    /// Scratch table reused by [`Engine::verify`]'s residency sweep:
+    /// cleared (capacity retained) on each call so repeated monitor
+    /// sweeps don't reallocate. `RefCell` because `verify` takes
+    /// `&self`; engines cross threads by move, never by sharing, so
+    /// interior mutability is safe here.
     verify_scratch: RefCell<HashMap<BlockAddr, Residency>>,
 }
 
 impl DirectoryEngine {
     /// Creates an engine with an explicit page placement.
     pub fn new(protocol: Protocol, config: &DirectorySimConfig, placement: PagePlacement) -> Self {
-        let policy = protocol.policy().unwrap_or(NEVER_ADAPT);
         DirectoryEngine {
-            protocol,
-            policy,
-            pure_migratory: protocol == Protocol::PureMigratory,
-            nodes: config.nodes,
-            block_size: config.block_size,
-            repr: config.directory,
-            placement,
+            frame: Frame::new(protocol, config, placement),
             caches: (0..config.nodes).map(|_| config.cache.build()).collect(),
             dir: HashMap::new(),
             mem_version: HashMap::new(),
             latest: HashMap::new(),
-            rwitm: false,
-            ledger: Ledger::default(),
             verify_scratch: RefCell::new(HashMap::new()),
         }
-    }
-
-    /// Attaches an observability sink: every subsequent step streams
-    /// structured [`mcc_obs::Event`]s (reference outcomes, migratory
-    /// promotions/demotions with the triggering detection rule,
-    /// invalidations, fault NACK/retry/backoff) into it.
-    #[must_use]
-    pub fn with_sink(mut self, sink: SharedSink) -> Self {
-        self.ledger.sink = Some(sink);
-        self
-    }
-
-    /// Attaches (`Some`) or detaches (`None`) the observability sink on
-    /// an engine in place — used when restoring from a checkpoint,
-    /// since snapshots deliberately exclude sinks.
-    pub fn set_sink(&mut self, sink: Option<SharedSink>) {
-        self.ledger.sink = sink;
     }
 
     /// Subjects every demand transaction to the unreliable-interconnect
     /// model described by `plan`. Deterministic: the injector draws from
     /// a private stream seeded by `plan.seed`.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.ledger.faults = Some(FaultInjector::new(plan));
+        self.frame.ledger.faults = Some(FaultInjector::new(plan));
         self
-    }
-
-    /// Captures the engine's complete replayable state for a
-    /// checkpoint: cache residency in LRU order, directory entries and
-    /// version tables in block order, accumulated counters, and the
-    /// fault injector's stream position.
-    pub(crate) fn snapshot(&self) -> crate::checkpoint::EngineSnapshot {
-        let mut dir: Vec<(u64, DirEntry)> = self
-            .dir
-            .iter()
-            .map(|(b, e)| (b.index(), e.clone()))
-            .collect();
-        dir.sort_by_key(|&(b, _)| b);
-        let mut mem_version: Vec<(u64, u64)> = self
-            .mem_version
-            .iter()
-            .map(|(b, v)| (b.index(), *v))
-            .collect();
-        mem_version.sort_unstable();
-        let mut latest: Vec<(u64, u64)> =
-            self.latest.iter().map(|(b, v)| (b.index(), *v)).collect();
-        latest.sort_unstable();
-        crate::checkpoint::EngineSnapshot {
-            rwitm: self.rwitm,
-            steps: self.ledger.steps,
-            injector_rng: self.ledger.faults.as_ref().map(|f| f.rng_state()),
-            messages: self.ledger.messages,
-            events: self.ledger.events,
-            caches: self
-                .caches
-                .iter()
-                .map(|c| {
-                    c.snapshot_lines()
-                        .into_iter()
-                        .map(|(b, l)| (b.index(), l.state, l.version))
-                        .collect()
-                })
-                .collect(),
-            dir,
-            mem_version,
-            latest,
-        }
     }
 
     /// Rebuilds an engine from a snapshot so it continues exactly where
     /// the captured one left off. The error string diagnoses snapshots
     /// that cannot describe an engine of this configuration.
     pub(crate) fn from_snapshot(
-        snap: &crate::checkpoint::EngineSnapshot,
+        snap: &EngineSnapshot,
         protocol: Protocol,
         config: &DirectorySimConfig,
         placement: PagePlacement,
         faults: Option<FaultPlan>,
     ) -> Result<DirectoryEngine, String> {
         let mut engine = DirectoryEngine::new(protocol, config, placement);
-        if snap.caches.len() != usize::from(config.nodes) {
-            return Err(format!(
-                "snapshot has {} node caches but the configuration has {} nodes",
-                snap.caches.len(),
-                config.nodes
-            ));
-        }
-        for (node, lines) in snap.caches.iter().enumerate() {
+        engine.frame.restore(snap, faults)?;
+        for (cache, lines) in engine.caches.iter_mut().zip(&snap.caches) {
             for &(block, state, version) in lines {
-                let block = BlockAddr::new(block);
-                if engine.caches[node].contains(block) {
-                    return Err(format!("duplicate cache line for {block} at node {node}"));
-                }
-                if engine.caches[node]
-                    .insert(block, Line { state, version })
-                    .is_some()
-                {
+                let line = Line { state, version };
+                if cache.insert(BlockAddr::new(block), line).is_some() {
                     return Err("cache snapshot does not fit the configured geometry".to_string());
                 }
             }
@@ -485,79 +388,11 @@ impl DirectoryEngine {
         for (block, entry) in &snap.dir {
             engine.dir.insert(BlockAddr::new(*block), entry.clone());
         }
-        for &(block, version) in &snap.mem_version {
-            engine.mem_version.insert(BlockAddr::new(block), version);
-        }
-        for &(block, version) in &snap.latest {
-            engine.latest.insert(BlockAddr::new(block), version);
-        }
-        engine.rwitm = snap.rwitm;
-        engine.ledger = Ledger::from_snapshot(snap, faults)?;
+        let versions =
+            |rows: &[(u64, u64)]| rows.iter().map(|&(b, v)| (BlockAddr::new(b), v)).collect();
+        engine.mem_version = versions(&snap.mem_version);
+        engine.latest = versions(&snap.latest);
         Ok(engine)
-    }
-
-    /// Processes one reference and reports how it resolved.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the reference's node is outside the configuration, on a
-    /// coherence violation (a bug in the protocol implementation), or if
-    /// a configured fault plan exhausts its retries. The panic message is
-    /// the `Display` form of the [`SimError`] that
-    /// [`DirectoryEngine::try_step`] would have returned.
-    pub fn step(&mut self, r: MemRef) -> StepInfo {
-        self.try_step(r).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Processes one reference, reporting failure as a structured
-    /// [`SimError`] instead of panicking.
-    ///
-    /// Failure modes: a reference by a node outside the configuration
-    /// ([`SimError::NodeOutOfRange`]), a coherence violation detected by
-    /// the built-in checker ([`SimError::Violation`]), or — under a
-    /// fault plan — a transaction that cannot be delivered within the
-    /// plan's retry and backoff budgets ([`SimError::RetryExhausted`],
-    /// [`SimError::Livelock`]).
-    ///
-    /// # Errors
-    ///
-    /// After an error the engine's state is not rolled back; a failed
-    /// simulation should be discarded, not resumed.
-    pub fn try_step(&mut self, r: MemRef) -> Result<StepInfo, SimError> {
-        let block = r.addr.block(self.block_size);
-        if r.node.index() >= usize::from(self.nodes) {
-            return Err(SimError::NodeOutOfRange {
-                node: r.node,
-                nodes: self.nodes,
-            });
-        }
-        self.ledger.steps += 1;
-        let home = self.placement.home_of_block(block, self.block_size);
-        let backoff = if self.ledger.faults.is_none() {
-            0
-        } else {
-            let shape = TransactionShape::of(
-                r,
-                home,
-                self.rwitm,
-                self.caches[r.node.index()].get(block).map(|l| l.state),
-                self.dir
-                    .get(&block)
-                    .map(|e| (e.dirty, &e.copyset, e.overflowed)),
-                self.repr,
-                self.nodes,
-            );
-            self.ledger.deliver(block, r.node, shape)?
-        };
-        let before = self.ledger.messages.critical_path();
-        let kind = if self.caches[r.node.index()].contains(block) {
-            self.hit(r.node, block, home, r.op)?
-        } else {
-            self.miss(r.node, block, home, r.op)?
-        };
-        Ok(self
-            .ledger
-            .stepped(block, r.node, home, kind, before, backoff))
     }
 
     /// Processes one reference with an off-line hint: when `rwitm` is
@@ -572,16 +407,16 @@ impl DirectoryEngine {
     ///
     /// Panics unless the engine runs [`Protocol::Conventional`] (the
     /// oracle replaces the adaptive machinery, it does not combine with
-    /// it), plus the conditions of [`DirectoryEngine::step`].
+    /// it), plus the conditions of [`Engine::step`].
     pub fn step_hinted(&mut self, r: MemRef, rwitm: bool) -> StepInfo {
         assert_eq!(
-            self.protocol,
+            self.frame.protocol,
             Protocol::Conventional,
             "off-line hints only apply to the conventional substrate"
         );
-        self.rwitm = rwitm;
+        self.frame.rwitm = rwitm;
         let info = self.step(r);
-        self.rwitm = false;
+        self.frame.rwitm = false;
         info
     }
 
@@ -605,18 +440,18 @@ impl DirectoryEngine {
         self.observe(block, version, "cache hit")?;
         Ok(match op {
             MemOp::Read => {
-                self.ledger.events.read_hits += 1;
+                self.frame.ledger.events.read_hits += 1;
                 StepKind::ReadHit
             }
             MemOp::Write => {
                 let kind = match state {
                     LineState::Dirty => {
-                        self.ledger.events.silent_write_hits += 1;
+                        self.frame.ledger.events.silent_write_hits += 1;
                         StepKind::SilentWrite
                     }
                     LineState::MigratoryClean => {
                         // Pre-granted permission: zero messages.
-                        self.ledger.events.write_grants_used += 1;
+                        self.frame.ledger.events.write_grants_used += 1;
                         self.entry_mut(block).dirty = true;
                         self.caches[n.index()]
                             .get_mut(block)
@@ -627,11 +462,11 @@ impl DirectoryEngine {
                     LineState::Exclusive => {
                         // "Write hit on a clean, exclusively-held block":
                         // permission fetched from the home.
-                        self.ledger.events.exclusive_upgrades += 1;
-                        self.ledger.messages.write_hit +=
+                        self.frame.ledger.events.exclusive_upgrades += 1;
+                        self.frame.ledger.messages.write_hit +=
                             charge(OpKind::WriteHit, home == n, false, 0);
-                        let policy = self.policy;
-                        let rc = if self.pure_migratory {
+                        let policy = self.frame.policy;
+                        let rc = if self.frame.pure_migratory {
                             let e = self.entry_mut(block);
                             e.last_invalidator = Some(n);
                             e.dirty = true;
@@ -640,7 +475,8 @@ impl DirectoryEngine {
                             self.entry_mut(block)
                                 .on_write_hit_clean_exclusive(policy, n)
                         };
-                        self.ledger
+                        self.frame
+                            .ledger
                             .reclassified(rc, block, n, Rule::WriteHitCleanExclusive);
                         self.caches[n.index()]
                             .get_mut(block)
@@ -650,11 +486,11 @@ impl DirectoryEngine {
                     }
                     LineState::Shared => {
                         // "Write hit invalidating one or more copies."
-                        self.ledger.events.shared_upgrades += 1;
-                        let policy = self.policy;
-                        let pure = self.pure_migratory;
-                        let repr = self.repr;
-                        let nodes = self.nodes;
+                        self.frame.ledger.events.shared_upgrades += 1;
+                        let policy = self.frame.policy;
+                        let pure = self.frame.pure_migratory;
+                        let repr = self.frame.repr;
+                        let nodes = self.frame.nodes;
                         let entry = self.entry_mut(block);
                         let dc = repr.charged_distant_copies(
                             &entry.copyset,
@@ -677,16 +513,18 @@ impl DirectoryEngine {
                         entry.copyset = CopySet::only(n);
                         entry.overflowed = false;
                         if was_overflowed {
-                            self.ledger.events.broadcast_invalidations += 1;
+                            self.frame.ledger.events.broadcast_invalidations += 1;
                         }
-                        self.ledger.messages.write_hit +=
+                        self.frame.ledger.messages.write_hit +=
                             charge(OpKind::WriteHit, home == n, false, dc);
                         for m in others {
                             let removed = self.caches[m.index()].remove(block);
                             debug_assert!(removed.is_some(), "copyset out of sync with caches");
-                            self.ledger.invalidated(block, m);
+                            self.frame.ledger.invalidated(block, m);
                         }
-                        self.ledger.reclassified(rc, block, n, Rule::WriteHitShared);
+                        self.frame
+                            .ledger
+                            .reclassified(rc, block, n, Rule::WriteHitShared);
                         self.caches[n.index()]
                             .get_mut(block)
                             .expect("residency checked by the contains() dispatch above")
@@ -711,11 +549,11 @@ impl DirectoryEngine {
         home: NodeId,
         op: MemOp,
     ) -> Result<StepKind, Violation> {
-        let policy = self.policy;
-        let pure = self.pure_migratory;
+        let policy = self.frame.policy;
+        let pure = self.frame.pure_migratory;
         // Snapshot directory state before the transaction.
-        let repr = self.repr;
-        let nodes = self.nodes;
+        let repr = self.frame.repr;
+        let nodes = self.frame.nodes;
         let (dirty, dc, copyset_before, was_overflowed) = {
             let e = self.entry_mut(block);
             (
@@ -734,13 +572,14 @@ impl DirectoryEngine {
         };
         debug_assert!(!copyset_before.contains(n), "missing node holds a copy");
         Ok(match op {
-            MemOp::Read if self.rwitm => {
+            MemOp::Read if self.frame.rwitm => {
                 // Read-with-ownership: fetch the block with write
                 // permission, invalidating every existing copy — one
                 // transaction, charged like a write miss.
-                self.ledger.events.read_misses += 1;
-                self.ledger.events.migrations += 1;
-                self.ledger.messages.read_miss += charge(OpKind::WriteMiss, home == n, dirty, dc);
+                self.frame.ledger.events.read_misses += 1;
+                self.frame.ledger.events.migrations += 1;
+                self.frame.ledger.messages.read_miss +=
+                    charge(OpKind::WriteMiss, home == n, dirty, dc);
                 let mut served_from_owner = None;
                 for m in copyset_before.iter() {
                     let old = self.take_copy(m, block, "read-with-ownership")?;
@@ -748,9 +587,9 @@ impl DirectoryEngine {
                         self.mem_version.insert(block, old.version);
                         served_from_owner = Some(old.version);
                     }
-                    self.ledger.invalidated(block, m);
+                    self.frame.ledger.invalidated(block, m);
                 }
-                let served = served_from_owner.unwrap_or_else(|| self.mem(block));
+                let served = served_from_owner.unwrap_or_else(|| self.memory_version(block));
                 self.observe(block, served, "read-with-ownership")?;
                 let e = self.entry_mut(block);
                 e.created = crate::directory::CopiesCreated::One;
@@ -762,8 +601,9 @@ impl DirectoryEngine {
                 StepKind::ReadMissMigrate
             }
             MemOp::Read => {
-                self.ledger.events.read_misses += 1;
-                self.ledger.messages.read_miss += charge(OpKind::ReadMiss, home == n, dirty, dc);
+                self.frame.ledger.events.read_misses += 1;
+                self.frame.ledger.messages.read_miss +=
+                    charge(OpKind::ReadMiss, home == n, dirty, dc);
                 let (action, rc) = {
                     let e = self.entry_mut(block);
                     if pure && dirty {
@@ -774,10 +614,10 @@ impl DirectoryEngine {
                         e.on_read_miss(policy)
                     }
                 };
-                self.ledger.reclassified(rc, block, n, Rule::ReadMiss);
+                self.frame.ledger.reclassified(rc, block, n, Rule::ReadMiss);
                 match action {
                     ReadMissAction::Migrate => {
-                        self.ledger.events.migrations += 1;
+                        self.frame.ledger.events.migrations += 1;
                         let served = if let Some(owner) = copyset_before.single() {
                             // One transaction: copy to the requester and
                             // invalidate the previous holder.
@@ -785,11 +625,11 @@ impl DirectoryEngine {
                             if old.state.is_dirty() {
                                 self.mem_version.insert(block, old.version);
                             }
-                            self.ledger.invalidated(block, owner);
+                            self.frame.ledger.invalidated(block, owner);
                             old.version
                         } else {
                             debug_assert!(copyset_before.is_empty());
-                            self.mem(block)
+                            self.memory_version(block)
                         };
                         self.observe(block, served, "migration")?;
                         let e = self.entry_mut(block);
@@ -799,7 +639,7 @@ impl DirectoryEngine {
                         self.insert_line(n, block, LineState::MigratoryClean, served)?;
                     }
                     ReadMissAction::Replicate => {
-                        self.ledger.events.replications += 1;
+                        self.frame.ledger.events.replications += 1;
                         // Demote an exclusive holder (Dirty, Exclusive or
                         // MigratoryClean) to Shared; a dirty copy is
                         // written back as part of the transaction (§3.3).
@@ -815,7 +655,8 @@ impl DirectoryEngine {
                         if let Some(v) = served_from_owner {
                             self.mem_version.insert(block, v);
                         }
-                        let served = served_from_owner.unwrap_or_else(|| self.mem(block));
+                        let served =
+                            served_from_owner.unwrap_or_else(|| self.memory_version(block));
                         self.observe(block, served, "replication")?;
                         let e = self.entry_mut(block);
                         e.dirty = false;
@@ -835,8 +676,9 @@ impl DirectoryEngine {
                 }
             }
             MemOp::Write => {
-                self.ledger.events.write_misses += 1;
-                self.ledger.messages.write_miss += charge(OpKind::WriteMiss, home == n, dirty, dc);
+                self.frame.ledger.events.write_misses += 1;
+                self.frame.ledger.messages.write_miss +=
+                    charge(OpKind::WriteMiss, home == n, dirty, dc);
                 // Invalidate every existing copy; a dirty one supplies the
                 // data (and is written home).
                 let mut served_from_owner = None;
@@ -846,12 +688,12 @@ impl DirectoryEngine {
                         self.mem_version.insert(block, old.version);
                         served_from_owner = Some(old.version);
                     }
-                    self.ledger.invalidated(block, m);
+                    self.frame.ledger.invalidated(block, m);
                 }
-                let served = served_from_owner.unwrap_or_else(|| self.mem(block));
+                let served = served_from_owner.unwrap_or_else(|| self.memory_version(block));
                 self.observe(block, served, "write miss")?;
                 if was_overflowed {
-                    self.ledger.events.broadcast_invalidations += 1;
+                    self.frame.ledger.events.broadcast_invalidations += 1;
                 }
                 let rc = {
                     let e = self.entry_mut(block);
@@ -867,7 +709,9 @@ impl DirectoryEngine {
                     e.overflowed = false;
                     rc
                 };
-                self.ledger.reclassified(rc, block, n, Rule::WriteMiss);
+                self.frame
+                    .ledger
+                    .reclassified(rc, block, n, Rule::WriteMiss);
                 let v = self.bump_version(block);
                 self.insert_line(n, block, LineState::Dirty, v)?;
                 StepKind::WriteMiss
@@ -902,42 +746,34 @@ impl DirectoryEngine {
     ) -> Result<(), Violation> {
         let victim = self.caches[n.index()].insert(block, Line { state, version });
         if let Some((vb, vline)) = victim {
-            let vhome = self.placement.home_of_block(vb, self.block_size);
+            let vhome = self.frame.home_of(vb);
             let dirty = vline.state.is_dirty();
-            self.ledger.messages.eviction += charge_eviction(vhome == n, dirty);
+            self.frame.ledger.messages.eviction += charge_eviction(vhome == n, dirty);
             if dirty {
                 self.mem_version.insert(vb, vline.version);
-                self.ledger.events.writebacks += 1;
+                self.frame.ledger.events.writebacks += 1;
             } else {
-                self.ledger.events.clean_drops += 1;
+                self.frame.ledger.events.clean_drops += 1;
             }
             if !self.dir.contains_key(&vb) {
                 return Err(self.violation(vb, ViolationKind::CopysetMismatch, "eviction"));
             }
-            let policy = self.policy;
+            let policy = self.frame.policy;
             let rc = self
                 .dir
                 .get_mut(&vb)
                 .expect("contains_key checked above")
                 .on_copy_dropped(policy, n);
-            self.ledger.reclassified(rc, vb, n, Rule::CopyDropped);
+            self.frame.ledger.reclassified(rc, vb, n, Rule::CopyDropped);
         }
         Ok(())
     }
 
     fn entry_mut(&mut self, block: BlockAddr) -> &mut DirEntry {
-        let policy = self.policy;
+        let policy = self.frame.policy;
         self.dir
             .entry(block)
             .or_insert_with(|| DirEntry::new(policy))
-    }
-
-    fn mem(&self, block: BlockAddr) -> u64 {
-        self.mem_version.get(&block).copied().unwrap_or(0)
-    }
-
-    fn latest(&self, block: BlockAddr) -> u64 {
-        self.latest.get(&block).copied().unwrap_or(0)
     }
 
     fn bump_version(&mut self, block: BlockAddr) -> u64 {
@@ -954,7 +790,7 @@ impl DirectoryEngine {
         observed: u64,
         context: &'static str,
     ) -> Result<(), Violation> {
-        let latest = self.latest(block);
+        let latest = self.latest_version(block);
         if observed == latest {
             Ok(())
         } else {
@@ -971,72 +807,11 @@ impl DirectoryEngine {
     fn violation(&self, block: BlockAddr, kind: ViolationKind, context: &'static str) -> Violation {
         Violation {
             block,
-            step: self.ledger.steps,
+            step: self.frame.ledger.steps,
             kind,
             context,
             entry: self.dir.get(&block).cloned(),
         }
-    }
-
-    /// References processed so far (including the one in flight when
-    /// called from inside a step).
-    pub fn steps(&self) -> u64 {
-        self.ledger.steps
-    }
-
-    /// The protocol being simulated.
-    pub fn protocol(&self) -> Protocol {
-        self.protocol
-    }
-
-    /// The cache-line state of `block` at `node`, if resident.
-    pub fn line_state(&self, node: NodeId, block: BlockAddr) -> Option<LineState> {
-        self.caches[node.index()].get(block).map(|l| l.state)
-    }
-
-    /// The directory entry of `block`, if the block has ever been
-    /// referenced.
-    pub fn entry(&self, block: BlockAddr) -> Option<&DirEntry> {
-        self.dir.get(&block)
-    }
-
-    /// Message tally so far.
-    pub fn messages(&self) -> MessageBreakdown {
-        self.ledger.messages
-    }
-
-    /// The version tag a node's resident copy of `block` holds, if the
-    /// block is resident there. Inspection hook for external checkers
-    /// (`mcc-check`): a correct protocol keeps every resident copy at
-    /// the latest written version.
-    pub fn line_version(&self, node: NodeId, block: BlockAddr) -> Option<u64> {
-        self.caches[node.index()].get(block).map(|l| l.version)
-    }
-
-    /// The latest version written to `block` by anyone — the write
-    /// oracle's ground truth. Zero for never-written blocks.
-    pub fn latest_version(&self, block: BlockAddr) -> u64 {
-        self.latest(block)
-    }
-
-    /// The version `block`'s home memory holds (zero before the first
-    /// write-back).
-    pub fn memory_version(&self, block: BlockAddr) -> u64 {
-        self.mem(block)
-    }
-
-    /// Every resident cache line as `(node, block, state, version)`,
-    /// ordered by node and, within a node, by the cache's internal
-    /// order. Inspection hook for external checkers and the monitor's
-    /// data-value sweep; cost is linear in resident lines.
-    pub fn resident_lines(&self) -> Vec<(NodeId, BlockAddr, LineState, u64)> {
-        let mut out = Vec::new();
-        for node in NodeId::first(self.nodes) {
-            for (block, line) in self.caches[node.index()].iter() {
-                out.push((node, block, line.state, line.version));
-            }
-        }
-        out
     }
 
     /// Overwrites the version tag of a resident line, returning whether
@@ -1061,20 +836,47 @@ impl DirectoryEngine {
     pub fn poison_latest_version(&mut self, block: BlockAddr, version: u64) {
         self.latest.insert(block, version);
     }
+}
 
-    /// Event counts so far.
-    pub fn events(&self) -> EventCounts {
-        self.ledger.events
+impl Engine for DirectoryEngine {
+    fn protocol(&self) -> Protocol {
+        self.frame.protocol
     }
 
-    /// Sweeps the global invariants linking the directory to the caches,
-    /// reporting the first broken one:
-    /// * a directory copy set disagrees with actual cache residency;
-    /// * a block has an exclusive-state copy alongside other copies
-    ///   (single-writer / multiple-reader);
-    /// * the directory `dirty` bit disagrees with the caches;
-    /// * a clean block's memory version is stale.
-    pub fn verify(&self) -> Result<(), Violation> {
+    fn steps(&self) -> u64 {
+        self.frame.ledger.steps
+    }
+
+    fn try_step(&mut self, r: MemRef) -> Result<StepInfo, SimError> {
+        let block = self.frame.open(r)?;
+        let home = self.frame.home_of(block);
+        let backoff = if self.frame.ledger.faults.is_none() {
+            0
+        } else {
+            let shape = TransactionShape::of(
+                r,
+                home,
+                self.frame.rwitm,
+                self.caches[r.node.index()].get(block).map(|l| l.state),
+                self.dir
+                    .get(&block)
+                    .map(|e| (e.dirty, &e.copyset, e.overflowed)),
+                self.frame.repr,
+                self.frame.nodes,
+            );
+            self.frame.ledger.deliver(block, r.node, shape)?
+        };
+        let before = self.frame.ledger.messages.critical_path();
+        let kind = if self.caches[r.node.index()].contains(block) {
+            self.hit(r.node, block, home, r.op)?
+        } else {
+            self.miss(r.node, block, home, r.op)?
+        };
+        let ledger = &self.frame.ledger;
+        Ok(ledger.stepped(block, r.node, home, kind, before, backoff))
+    }
+
+    fn verify(&self) -> Result<(), Violation> {
         // One pass over the resident lines, then one pass over the
         // directory: O(lines + entries) rather than O(entries × nodes),
         // which matters because the monitor sweeps repeatedly over
@@ -1082,7 +884,7 @@ impl DirectoryEngine {
         // (cleared, capacity kept) for the same reason.
         let mut residency = self.verify_scratch.borrow_mut();
         residency.clear();
-        for node in NodeId::first(self.nodes) {
+        for node in NodeId::first(self.frame.nodes) {
             for (block, line) in self.caches[node.index()].iter() {
                 let r = residency.entry(block).or_default();
                 r.holders.insert(node);
@@ -1118,12 +920,12 @@ impl DirectoryEngine {
             if entry.dirty != any_dirty {
                 return Err(self.violation(block, ViolationKind::DirtyBitMismatch, sweep));
             }
-            if !any_dirty && self.mem(block) != self.latest(block) {
+            if !any_dirty && self.memory_version(block) != self.latest_version(block) {
                 return Err(self.violation(
                     block,
                     ViolationKind::StaleMemory {
-                        memory: self.mem(block),
-                        latest: self.latest(block),
+                        memory: self.memory_version(block),
+                        latest: self.latest_version(block),
                     },
                     sweep,
                 ));
@@ -1132,23 +934,85 @@ impl DirectoryEngine {
         Ok(())
     }
 
-    /// Verifies global invariants linking the directory to the caches.
-    ///
-    /// Thin wrapper over [`verify`](Self::verify) for assertion-style
-    /// tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics when any invariant is broken.
-    pub fn check_invariants(&self) {
-        if let Err(v) = self.verify() {
-            panic!("{v}");
+    fn messages(&self) -> MessageBreakdown {
+        self.frame.ledger.messages
+    }
+
+    fn events(&self) -> EventCounts {
+        self.frame.ledger.events
+    }
+
+    fn line_state(&self, node: NodeId, block: BlockAddr) -> Option<LineState> {
+        self.caches[node.index()].get(block).map(|l| l.state)
+    }
+
+    fn line_version(&self, node: NodeId, block: BlockAddr) -> Option<u64> {
+        self.caches[node.index()].get(block).map(|l| l.version)
+    }
+
+    fn dir_entry(&self, block: BlockAddr) -> Option<DirEntry> {
+        self.dir.get(&block).cloned()
+    }
+
+    fn latest_version(&self, block: BlockAddr) -> u64 {
+        self.latest.get(&block).copied().unwrap_or(0)
+    }
+
+    fn memory_version(&self, block: BlockAddr) -> u64 {
+        self.mem_version.get(&block).copied().unwrap_or(0)
+    }
+
+    /// Within a node, lines come in the cache's internal order.
+    fn resident_lines(&self) -> Vec<(NodeId, BlockAddr, LineState, u64)> {
+        let mut out = Vec::new();
+        for node in NodeId::first(self.frame.nodes) {
+            for (block, line) in self.caches[node.index()].iter() {
+                out.push((node, block, line.state, line.version));
+            }
+        }
+        out
+    }
+
+    fn set_sink(&mut self, sink: Option<SharedSink>) {
+        self.frame.ledger.sink = sink;
+    }
+
+    /// Cache residency in LRU order, directory entries and version
+    /// tables in block order, plus the frame's counters and fault
+    /// stream position.
+    fn snapshot(&self) -> EngineSnapshot {
+        let sorted = |map: &HashMap<BlockAddr, u64>| {
+            let mut rows: Vec<(u64, u64)> = map.iter().map(|(b, v)| (b.index(), *v)).collect();
+            rows.sort_unstable();
+            rows
+        };
+        let mut dir: Vec<(u64, DirEntry)> = self
+            .dir
+            .iter()
+            .map(|(b, e)| (b.index(), e.clone()))
+            .collect();
+        dir.sort_by_key(|&(b, _)| b);
+        let caches = self
+            .caches
+            .iter()
+            .map(|c| {
+                c.snapshot_lines()
+                    .into_iter()
+                    .map(|(b, l)| (b.index(), l.state, l.version))
+                    .collect()
+            })
+            .collect();
+        EngineSnapshot {
+            caches,
+            dir,
+            mem_version: sorted(&self.mem_version),
+            latest: sorted(&self.latest),
+            ..self.frame.capture()
         }
     }
 
-    /// Consumes the engine and returns the tally.
-    pub fn finish(self) -> SimResult {
-        self.ledger.finish(self.protocol)
+    fn finish(self) -> SimResult {
+        self.frame.ledger.finish(self.frame.protocol)
     }
 }
 
@@ -1389,14 +1253,14 @@ mod tests {
         );
         e.step(MemRef::write(NodeId::new(1), Addr::new(0)));
         assert_eq!(e.line_state(NodeId::new(1), block), Some(LineState::Dirty));
-        assert!(e.entry(block).unwrap().dirty);
+        assert!(e.dir_entry(block).unwrap().dirty);
         e.step(MemRef::read(NodeId::new(2), Addr::new(0)));
         assert_eq!(e.line_state(NodeId::new(1), block), Some(LineState::Shared));
         assert_eq!(e.line_state(NodeId::new(2), block), Some(LineState::Shared));
         e.step(MemRef::write(NodeId::new(2), Addr::new(0)));
         assert_eq!(e.line_state(NodeId::new(1), block), None);
         assert!(
-            e.entry(block).unwrap().migratory,
+            e.dir_entry(block).unwrap().migratory,
             "basic classifies after one hand-off"
         );
         assert_eq!(e.protocol(), Protocol::Basic);

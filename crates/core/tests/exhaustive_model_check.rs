@@ -12,7 +12,9 @@
 //! eviction interplay of the tiny-cache configuration).
 
 use mcc_cache::{CacheConfig, CacheGeometry};
-use mcc_core::{AdaptivePolicy, DirectoryEngine, DirectorySimConfig, PlacementPolicy, Protocol};
+use mcc_core::{
+    AdaptivePolicy, DirectoryEngine, DirectorySimConfig, Engine, PlacementPolicy, Protocol,
+};
 use mcc_placement::PagePlacement;
 use mcc_trace::{Addr, BlockSize, MemOp, MemRef, NodeId};
 

@@ -11,7 +11,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use mcc_core::{DirectoryEngine, DirectorySimConfig, PlacementPolicy, Protocol};
+use mcc_core::{DirectoryEngine, DirectorySimConfig, Engine, PlacementPolicy, Protocol};
 use mcc_placement::PagePlacement;
 use mcc_prng::SplitMix64;
 use mcc_trace::{Addr, BlockSize, MemOp, MemRef, NodeId, Trace};

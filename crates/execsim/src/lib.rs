@@ -54,7 +54,7 @@ use mcc_core::checkpoint::{
     write_envelope, PayloadReader,
 };
 use mcc_core::{
-    CheckpointError, CheckpointPolicy, DirectoryEngine, DirectorySimConfig, EngineSnapshot,
+    CheckpointError, CheckpointPolicy, DirectoryEngine, DirectorySimConfig, Engine, EngineSnapshot,
     EventCounts, FaultPlan, MessageBreakdown, Monitor, PlacementPolicy, Protocol, RealStorage,
     SimError, StepKind,
 };
@@ -743,7 +743,7 @@ impl ExecSim {
             hist_overflow: h.overflow,
             hist_count: h.count,
             hist_max: h.max,
-            engine: EngineSnapshot::capture(engine),
+            engine: engine.snapshot(),
         }
     }
 }

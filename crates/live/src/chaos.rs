@@ -2,7 +2,7 @@
 //!
 //! A [`ChaosChannel`] wraps an [`std::sync::mpsc::Sender`] and applies
 //! the same per-message fault vocabulary as `mcc-core`'s
-//! [`FaultRates`](mcc_core::FaultRates) — drop, delay, duplicate — to
+//! [`FaultRates`] — drop, delay, duplicate — to
 //! every message pushed through it. (NACKs are not a wire fault: the
 //! shard's simulated directory controller draws them at receive time,
 //! mirroring `MessageClass::Request` semantics in the trace-driven

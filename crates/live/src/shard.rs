@@ -34,8 +34,8 @@ use std::time::{Duration, Instant};
 use mcc_cache::CacheConfig;
 use mcc_check::CHECK_BLOCK_SIZE;
 use mcc_core::{
-    DirectoryEngine, DirectoryRepr, DirectorySimConfig, EngineSnapshot, PlacementPolicy, Protocol,
-    SimResult, SnapshotGeneration, Storage,
+    DirectoryEngine, DirectoryRepr, DirectorySimConfig, Engine, EngineSnapshot, PlacementPolicy,
+    Protocol, SimResult, SnapshotGeneration, Storage,
 };
 use mcc_obs::{shared, BufferSink, Event, EventSink, TelemetrySink, DEFAULT_PUBLISH_EVERY};
 use mcc_placement::PagePlacement;
@@ -531,7 +531,7 @@ pub(crate) fn run_incarnation(
             journal.entries.push(entry);
             journal.events.extend(fresh);
             if ctx.checkpoint_every > 0 && applied % ctx.checkpoint_every == 0 {
-                let snapshot = EngineSnapshot::capture(&engine);
+                let snapshot = engine.snapshot();
                 let covered = journal.entries.len();
                 if let Some(d) = &ctx.durable {
                     wal::save_snapshot(d.storage.as_ref(), &d.snap_path, &snapshot, covered as u64)

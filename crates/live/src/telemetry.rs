@@ -2,7 +2,7 @@
 //! record through, and the knobs that turn the plane on.
 //!
 //! When [`LiveConfig::telemetry`](crate::LiveConfig::telemetry) is
-//! set, `run_live` builds one [`LiveTelemetry`] — a pre-resolved set
+//! set, `run_live` builds one `LiveTelemetry` — a pre-resolved set
 //! of atomic counters, gauges, and stage histograms on a shared
 //! [`Telemetry`] plane — and threads it into every client, shard, and
 //! chaos channel. Recording is lock-free relaxed atomics; the HTTP

@@ -12,7 +12,8 @@
 //!    Table-1 message accounting, including across crash-restarts);
 //! 2. the replayed outcome of each entry (`kind`, `messages`) equals
 //!    what the live shard charged and acknowledged at the time;
-//! 3. each surviving shard's final [`SimResult`] equals the replay's —
+//! 3. each surviving shard's final [`SimResult`](mcc_core::SimResult)
+//!    equals the replay's —
 //!    the WAL really is the whole story;
 //! 4. the re-generated event narration equals the journal's committed
 //!    event stream (framing events aside), proving restarts never
@@ -147,7 +148,7 @@ pub fn verify_run(
 fn replay_events(protocol: Protocol, nodes: u16, shard: &ShardOutcome) -> Vec<Event> {
     use mcc_cache::CacheConfig;
     use mcc_check::CHECK_BLOCK_SIZE;
-    use mcc_core::{DirectoryEngine, DirectoryRepr, DirectorySimConfig, PlacementPolicy};
+    use mcc_core::{DirectoryEngine, DirectoryRepr, DirectorySimConfig, Engine, PlacementPolicy};
     use mcc_obs::{lock_sink, shared, BufferSink};
     use mcc_placement::PagePlacement;
 

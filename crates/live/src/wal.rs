@@ -48,16 +48,16 @@
 //! previous generation or a full-log replay.
 
 use std::io::{self, Read};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Instant;
 
 use mcc_core::checkpoint::{
-    fnv1a_64, prev_path, put_u16, put_u32, put_u64, read_envelope, save_rotating, write_envelope,
-    PayloadReader,
+    commit_tmp, fnv1a_64, prev_path, put_u16, put_u32, put_u64, read_envelope, save_rotating,
+    stage_tmp, write_envelope, PayloadReader,
 };
 use mcc_core::{EngineSnapshot, MessageCount, SnapshotGeneration, StepKind, Storage};
 use mcc_obs::{AtomicHistogram, Event};
-use mcc_trace::{Addr, MemOp, MemRef, NodeId};
+use mcc_trace::{MemRef, RECORD_BYTES};
 
 use crate::wire::JournalEntry;
 
@@ -153,9 +153,7 @@ fn encode_record(entry: &JournalEntry, events: &[Event]) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
     put_u16(&mut out, entry.client);
     put_u64(&mut out, entry.seq);
-    put_u16(&mut out, entry.mref.node.index() as u16);
-    out.push(u8::from(entry.mref.op.is_write()));
-    put_u64(&mut out, entry.mref.addr.get());
+    out.extend_from_slice(&entry.mref.to_bytes());
     out.push(step_kind_to_u8(entry.kind));
     put_u64(&mut out, entry.messages.control);
     put_u64(&mut out, entry.messages.data);
@@ -175,13 +173,7 @@ fn decode_record(payload: &[u8]) -> Option<WalRecord> {
     let mut r = PayloadReader::new(payload);
     let client = r.u16().ok()?;
     let seq = r.u64().ok()?;
-    let node = r.u16().ok()?;
-    let op = match r.u8().ok()? {
-        0 => MemOp::Read,
-        1 => MemOp::Write,
-        _ => return None,
-    };
-    let addr = r.u64().ok()?;
+    let mref = MemRef::from_bytes(r.bytes(RECORD_BYTES).ok()?.try_into().ok()?).ok()?;
     let kind = step_kind_from_u8(r.u8().ok()?)?;
     let control = r.u64().ok()?;
     let data = r.u64().ok()?;
@@ -199,7 +191,7 @@ fn decode_record(payload: &[u8]) -> Option<WalRecord> {
         entry: JournalEntry {
             client,
             seq,
-            mref: MemRef::new(NodeId::new(node), op, Addr::new(addr)),
+            mref,
             kind,
             messages: MessageCount::new(control, data),
             step,
@@ -273,8 +265,10 @@ pub fn read_wal<S: Storage + ?Sized>(storage: &S, path: &Path) -> io::Result<Sal
 
 /// Opens a shard's WAL for appending: creates it (header, fsynced,
 /// dir-entry fsynced) if missing, or scans it and truncates any torn
-/// tail back to the last valid record — atomically, via a sibling tmp
-/// file, so a crash *during* salvage cannot lose valid records.
+/// tail back to the last valid record — atomically, through the same
+/// [`stage_tmp`] / [`commit_tmp`] halves as every snapshot save (minus
+/// the `.prev` rotation), so a crash *during* salvage cannot lose valid
+/// records.
 ///
 /// # Errors
 ///
@@ -305,11 +299,8 @@ pub fn open_wal<S: Storage + ?Sized>(storage: &S, path: &Path) -> io::Result<Sal
         } else {
             fixed.extend_from_slice(&bytes[..keep]);
         }
-        let tmp = tmp_path(path);
-        storage.write_file(&tmp, &fixed)?;
-        storage.sync(&tmp)?;
-        storage.rename(&tmp, path)?;
-        storage.sync_parent(path)?;
+        let tmp = stage_tmp(storage, path, &fixed)?;
+        commit_tmp(storage, &tmp, path)?;
     }
     Ok(SalvagedWal {
         records,
@@ -368,12 +359,6 @@ pub fn append_record_timed<S: Storage + ?Sized>(
     Ok(())
 }
 
-fn tmp_path(path: &Path) -> PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
-    path.with_file_name(name)
-}
-
 // ---------------------------------------------------------------------
 // Per-shard snapshot files
 // ---------------------------------------------------------------------
@@ -390,8 +375,7 @@ pub struct LoadedSnapshot {
 }
 
 /// Writes a shard snapshot durably, rotating the previous generation
-/// to `.prev` through the same
-/// [`save_rotating`](mcc_core::checkpoint::save_rotating) as
+/// to `.prev` through the same [`save_rotating`] as
 /// [`Checkpoint::save`](mcc_core::Checkpoint::save).
 ///
 /// # Errors
@@ -472,6 +456,7 @@ pub fn load_snapshot<S: Storage + ?Sized>(
 mod tests {
     use super::*;
     use mcc_core::{ChaosStorage, KillScope, RealStorage, StorageFaultPlan};
+    use mcc_trace::{Addr, MemOp, NodeId};
 
     fn entry(seq: u64) -> JournalEntry {
         JournalEntry {
@@ -577,7 +562,7 @@ mod tests {
     #[test]
     fn snapshot_rotation_and_fallback() {
         use mcc_cache::CacheConfig;
-        use mcc_core::{DirectoryEngine, DirectorySimConfig, PlacementPolicy, Protocol};
+        use mcc_core::{DirectoryEngine, DirectorySimConfig, Engine, PlacementPolicy, Protocol};
         use mcc_placement::PagePlacement;
 
         let config = DirectorySimConfig {
@@ -592,11 +577,11 @@ mod tests {
         engine
             .try_step(MemRef::new(NodeId::new(0), MemOp::Write, Addr::new(0)))
             .unwrap();
-        let snap_a = EngineSnapshot::capture(&engine);
+        let snap_a = engine.snapshot();
         engine
             .try_step(MemRef::new(NodeId::new(1), MemOp::Read, Addr::new(16)))
             .unwrap();
-        let snap_b = EngineSnapshot::capture(&engine);
+        let snap_b = engine.snapshot();
 
         let fs = ChaosStorage::new(StorageFaultPlan::reliable(1));
         let path = Path::new("d/shard-0.ckpt");

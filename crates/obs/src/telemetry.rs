@@ -461,13 +461,14 @@ pub const DEFAULT_PUBLISH_EVERY: u64 = 4096;
 /// An [`EventSink`] that feeds a [`Telemetry`] plane from the protocol
 /// event stream.
 ///
-/// The counter names mirror the [`MetricsRecorder`](crate::metrics::
-/// MetricsRecorder) aggregates ([`names`]), so offline and live views
-/// agree; the per-kind/per-rule breakdown counters are deliberately
-/// omitted — they would cost a string format per event on the hot
-/// path. Everything is accumulated in plain locals and published every
-/// [`DEFAULT_PUBLISH_EVERY`] records (and on flush/drop/shard
-/// boundaries), so a mid-run scrape may lag by at most one batch.
+/// The counter names mirror the
+/// [`MetricsRecorder`](crate::MetricsRecorder) aggregates ([`names`]),
+/// so offline and live views agree; the per-kind/per-rule breakdown
+/// counters are deliberately omitted — they would cost a string
+/// format per event on the hot path. Everything is accumulated in
+/// plain locals and published every [`DEFAULT_PUBLISH_EVERY`] records
+/// (and on flush/drop/shard boundaries), so a mid-run scrape may lag
+/// by at most one batch.
 pub struct TelemetrySink {
     publish_every: u64,
     pending_rare: u64,

@@ -25,6 +25,39 @@ pub const TRACE_MAGIC: [u8; 8] = *b"MCCT\x02\0\0\0";
 /// by [`Trace::read_from`].
 pub const TRACE_MAGIC_V1: [u8; 8] = *b"MCCT\x01\0\0\0";
 
+/// Bytes in one serialized reference record.
+pub const RECORD_BYTES: usize = 11;
+
+impl MemRef {
+    /// The reference as one MCCT record: `u16` node, `u8` operation (0
+    /// read, 1 write) and `u64` byte address, little-endian. Trace files
+    /// and the live service's WAL frames both carry this encoding.
+    pub fn to_bytes(self) -> [u8; RECORD_BYTES] {
+        let mut buf = [0u8; RECORD_BYTES];
+        buf[..2].copy_from_slice(&(self.node.index() as u16).to_le_bytes());
+        buf[2] = u8::from(self.op.is_write());
+        buf[3..].copy_from_slice(&self.addr.get().to_le_bytes());
+        buf
+    }
+
+    /// Decodes one record in [`MemRef::to_bytes`]'s layout.
+    ///
+    /// # Errors
+    ///
+    /// [`ReadTraceError::BadOp`] when the operation byte is neither 0
+    /// nor 1.
+    pub fn from_bytes(buf: &[u8; RECORD_BYTES]) -> Result<MemRef, ReadTraceError> {
+        let [n0, n1, op, addr @ ..] = *buf;
+        let op = match op {
+            0 => MemOp::Read,
+            1 => MemOp::Write,
+            b => return Err(ReadTraceError::BadOp(b)),
+        };
+        let node = NodeId::new(u16::from_le_bytes([n0, n1]));
+        Ok(MemRef::new(node, op, Addr::new(u64::from_le_bytes(addr))))
+    }
+}
+
 /// Upper bound on the records pre-allocated from a v2 count prefix.
 ///
 /// A corrupt or hostile count must not translate into an allocation: the
@@ -122,12 +155,8 @@ impl Trace {
     pub fn write_to<W: Write>(&self, mut writer: W) -> io::Result<()> {
         writer.write_all(&TRACE_MAGIC)?;
         writer.write_all(&(self.len() as u64).to_le_bytes())?;
-        let mut buf = [0u8; 11];
         for r in self.iter() {
-            buf[..2].copy_from_slice(&(r.node.index() as u16).to_le_bytes());
-            buf[2] = r.op.is_write() as u8;
-            buf[3..].copy_from_slice(&r.addr.get().to_le_bytes());
-            writer.write_all(&buf)?;
+            writer.write_all(&r.to_bytes())?;
         }
         Ok(())
     }
@@ -159,7 +188,7 @@ impl Trace {
             return Err(ReadTraceError::BadMagic);
         };
         let mut trace = Trace::with_capacity(declared.unwrap_or(0).min(PREALLOC_CAP) as usize);
-        let mut buf = [0u8; 11];
+        let mut buf = [0u8; RECORD_BYTES];
         match declared {
             // v2: the header is authoritative. Read exactly `declared`
             // records, then require the stream to end — trailing bytes
@@ -170,7 +199,7 @@ impl Trace {
                         RecordRead::Eof => {
                             return Err(ReadTraceError::CountMismatch { declared, read })
                         }
-                        RecordRead::Record => trace.push(parse_record(&buf)?),
+                        RecordRead::Record => trace.push(MemRef::from_bytes(&buf)?),
                     }
                 }
                 let mut probe = [0u8; 1];
@@ -187,7 +216,7 @@ impl Trace {
             None => loop {
                 match read_record(&mut reader, &mut buf)? {
                     RecordRead::Eof => break,
-                    RecordRead::Record => trace.push(parse_record(&buf)?),
+                    RecordRead::Record => trace.push(MemRef::from_bytes(&buf)?),
                 }
             },
         }
@@ -200,18 +229,10 @@ enum RecordRead {
     Record,
 }
 
-fn parse_record(buf: &[u8; 11]) -> Result<MemRef, ReadTraceError> {
-    let node = u16::from_le_bytes([buf[0], buf[1]]);
-    let op = match buf[2] {
-        0 => MemOp::Read,
-        1 => MemOp::Write,
-        b => return Err(ReadTraceError::BadOp(b)),
-    };
-    let addr = u64::from_le_bytes(buf[3..].try_into().expect("8 bytes"));
-    Ok(MemRef::new(NodeId::new(node), op, Addr::new(addr)))
-}
-
-fn read_record<R: Read>(reader: &mut R, buf: &mut [u8; 11]) -> Result<RecordRead, ReadTraceError> {
+fn read_record<R: Read>(
+    reader: &mut R,
+    buf: &mut [u8; RECORD_BYTES],
+) -> Result<RecordRead, ReadTraceError> {
     let mut filled = 0;
     while filled < buf.len() {
         let n = reader.read(&mut buf[filled..])?;

@@ -40,7 +40,7 @@ mod trace;
 
 pub use addr::{Addr, BlockAddr, BlockSize, PageAddr, PAGE_SIZE};
 pub use classify::{BlockStats, Classification, SharingPattern};
-pub use io::{ReadTraceError, TRACE_MAGIC, TRACE_MAGIC_V1};
+pub use io::{ReadTraceError, RECORD_BYTES, TRACE_MAGIC, TRACE_MAGIC_V1};
 pub use record::{MemOp, MemRef, NodeId};
 pub use shard::shard_of_block;
 pub use stats::TraceStats;

@@ -35,14 +35,14 @@ use std::io::{BufReader, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use crate::addr::{Addr, BlockSize};
-use crate::io::{ReadTraceError, TRACE_MAGIC, TRACE_MAGIC_V1};
-use crate::record::{MemOp, MemRef, NodeId};
+use crate::addr::BlockSize;
+use crate::io::{ReadTraceError, RECORD_BYTES, TRACE_MAGIC, TRACE_MAGIC_V1};
+use crate::record::MemRef;
 use crate::shard::shard_of_block;
 use crate::trace::Trace;
 
-/// Bytes per serialized MCCT record.
-const RECORD_BYTES: u64 = 11;
+/// [`RECORD_BYTES`] as a file offset.
+const RECORD_LEN: u64 = RECORD_BYTES as u64;
 
 /// Chunk size for file-backed passes: records are decoded out of a
 /// buffered reader of this capacity, never from a whole-file read.
@@ -78,8 +78,8 @@ impl ShardFilter {
 
 /// A re-openable, boundedly-buffered source of trace records.
 ///
-/// See the [module documentation](self) for the design; see
-/// [`TraceStream::records`] for iteration.
+/// DESIGN.md §16 describes the design; see [`TraceStream::records`]
+/// for iteration.
 ///
 /// # Examples
 ///
@@ -158,8 +158,8 @@ impl TraceStream {
                 .map_err(|_| ReadTraceError::TruncatedRecord)?;
             let declared = u64::from_le_bytes(count);
             let payload = size - 16;
-            let whole = payload / RECORD_BYTES;
-            if payload % RECORD_BYTES != 0 {
+            let whole = payload / RECORD_LEN;
+            if payload % RECORD_LEN != 0 {
                 return Err(if whole >= declared {
                     ReadTraceError::TrailingBytes { declared }
                 } else {
@@ -183,10 +183,10 @@ impl TraceStream {
             (16u64, declared)
         } else if magic == TRACE_MAGIC_V1 {
             let payload = size - 8;
-            if payload % RECORD_BYTES != 0 {
+            if payload % RECORD_LEN != 0 {
                 return Err(ReadTraceError::TruncatedRecord);
             }
-            (8u64, payload / RECORD_BYTES)
+            (8u64, payload / RECORD_LEN)
         } else {
             return Err(ReadTraceError::BadMagic);
         };
@@ -280,11 +280,11 @@ impl TraceStream {
             Source::Generator(f) => Ok(f(i)),
             Source::File { path, offset } => {
                 let mut file = File::open(path)?;
-                file.seek(SeekFrom::Start(offset + i * RECORD_BYTES))?;
-                let mut buf = [0u8; RECORD_BYTES as usize];
+                file.seek(SeekFrom::Start(offset + i * RECORD_LEN))?;
+                let mut buf = [0u8; RECORD_BYTES];
                 file.read_exact(&mut buf)
                     .map_err(|_| ReadTraceError::TruncatedRecord)?;
-                decode_record(&buf)
+                MemRef::from_bytes(&buf)
             }
         }
     }
@@ -314,7 +314,7 @@ impl TraceStream {
             Source::Generator(f) => Inner::Generator(f),
             Source::File { path, offset } => {
                 let mut file = File::open(path)?;
-                file.seek(SeekFrom::Start(offset + start * RECORD_BYTES))?;
+                file.seek(SeekFrom::Start(offset + start * RECORD_LEN))?;
                 Inner::File(BufReader::with_capacity(CHUNK_BYTES, file))
             }
         };
@@ -356,13 +356,8 @@ impl TraceStream {
         }
         writer.write_all(&TRACE_MAGIC)?;
         writer.write_all(&matching.to_le_bytes())?;
-        let mut buf = [0u8; RECORD_BYTES as usize];
         for r in self.records()? {
-            let (_, r) = r?;
-            buf[..2].copy_from_slice(&(r.node.index() as u16).to_le_bytes());
-            buf[2] = r.op.is_write() as u8;
-            buf[3..].copy_from_slice(&r.addr.get().to_le_bytes());
-            writer.write_all(&buf)?;
+            writer.write_all(&r?.1.to_bytes())?;
         }
         Ok(())
     }
@@ -390,12 +385,12 @@ impl Records<'_> {
         match &mut self.inner {
             Inner::Generator(f) => Ok(f(i)),
             Inner::File(reader) => {
-                let mut buf = [0u8; RECORD_BYTES as usize];
+                let mut buf = [0u8; RECORD_BYTES];
                 reader.read_exact(&mut buf).map_err(|e| match e.kind() {
                     std::io::ErrorKind::UnexpectedEof => ReadTraceError::TruncatedRecord,
                     _ => ReadTraceError::Io(e),
                 })?;
-                decode_record(&buf)
+                MemRef::from_bytes(&buf)
             }
         }
     }
@@ -424,20 +419,11 @@ impl Iterator for Records<'_> {
     }
 }
 
-fn decode_record(buf: &[u8; RECORD_BYTES as usize]) -> Result<MemRef, ReadTraceError> {
-    let node = u16::from_le_bytes([buf[0], buf[1]]);
-    let op = match buf[2] {
-        0 => MemOp::Read,
-        1 => MemOp::Write,
-        b => return Err(ReadTraceError::BadOp(b)),
-    };
-    let addr = u64::from_le_bytes(buf[3..].try_into().expect("8 bytes"));
-    Ok(MemRef::new(NodeId::new(node), op, Addr::new(addr)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::Addr;
+    use crate::record::NodeId;
     use std::io::Write;
 
     fn sample() -> Trace {

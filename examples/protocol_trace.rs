@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo run --example protocol_trace`.
 
-use mcc::core::{DirectoryEngine, DirectorySimConfig, LineState, Protocol};
+use mcc::core::{DirectoryEngine, DirectorySimConfig, Engine, LineState, Protocol};
 use mcc::placement::PagePlacement;
 use mcc::trace::{Addr, BlockSize, MemRef, NodeId};
 
@@ -72,7 +72,7 @@ fn main() {
         let before = engine.messages().total();
         let info = engine.step(r);
         let cost = engine.messages().total() - before;
-        let entry = engine.entry(block).expect("entry exists");
+        let entry = engine.dir_entry(block).expect("entry exists");
         let holders: Vec<String> = NodeId::first(config.nodes)
             .filter_map(|n| {
                 engine.line_state(n, block).map(|s| {

@@ -14,7 +14,7 @@
 use mcc_prng::SplitMix64;
 
 use mcc::cache::{CacheConfig, CacheGeometry};
-use mcc::core::{DirectoryEngine, DirectorySimConfig, PlacementPolicy, Protocol};
+use mcc::core::{DirectoryEngine, DirectorySimConfig, Engine, PlacementPolicy, Protocol};
 use mcc::placement::PagePlacement;
 use mcc::snoop::{BusSim, BusSimConfig, SnoopProtocol};
 use mcc::trace::BlockSize;

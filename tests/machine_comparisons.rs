@@ -143,7 +143,7 @@ fn execsim_speedup_is_bounded_by_message_savings_direction() {
 mod cross_validation {
     use super::*;
     use mcc::cache::{CacheConfig, CacheGeometry};
-    use mcc::core::DirectoryEngine;
+    use mcc::core::{DirectoryEngine, Engine};
     use mcc::placement::PagePlacement;
     use mcc::trace::{BlockSize, MemOp};
     use mcc_prng::SplitMix64;
