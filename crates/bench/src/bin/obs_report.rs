@@ -13,14 +13,15 @@
 //! run, where violations are the point). With `--live BASE` it
 //! validates the artifact set of a `live` service run: every shard
 //! journal must replay through the lockstep checker with zero
-//! violations, every event line must parse (with exactly one `step`
-//! event per journal entry), and the summary's retry/NACK/chaos
-//! counters must reconcile with each other and with the chaos plan
-//! the run was configured with. With `--telemetry FILE` it validates
-//! a `*.telemetry.jsonl` snapshot stream: every line must parse, the
-//! snapshot timestamps must be monotone with strictly increasing
-//! sequence numbers, every embedded registry must round-trip through
-//! the registry parser, and the counters must never move backwards.
+//! violations, every event line must parse, the protocol events must
+//! be exactly those the replay's engine emits, and the summary's
+//! retry/NACK/chaos counters must reconcile with each other and with
+//! the chaos plan the run was configured with. With `--telemetry
+//! FILE` it validates a `*.telemetry.jsonl` snapshot stream: every
+//! line must parse, the snapshot timestamps must be monotone with
+//! strictly increasing sequence numbers, every embedded registry must
+//! round-trip through the registry parser, and the counters must never
+//! move backwards.
 //! With `--scale FILE` it validates a `BENCH_scale.json` summary from
 //! the out-of-core `scale` sweep: gates passed, peak RSS bounded in
 //! every representation cell, and no cell charging less than the
@@ -30,6 +31,7 @@ use std::path::{Path, PathBuf};
 use std::process::exit;
 
 use mcc_bench::args::Flags;
+use mcc_live::{JournalReplay, VerifyOutcome};
 use mcc_obs::metrics::names;
 use mcc_obs::{Event, Json, Log2Histogram, Registry};
 use mcc_stats::Table;
@@ -137,23 +139,10 @@ fn histogram_table(name: &str, hist: &Log2Histogram) -> Table {
 /// Parses every JSONL line (exiting non-zero on the first bad one) and
 /// renders per-event-type counts plus promote/demote rule breakdowns.
 fn report_events(path: &Path) {
-    let text = read(path);
+    let events = read_events(path);
     let mut by_label: Vec<(&'static str, u64)> = Vec::new();
     let mut rules: Vec<(String, u64)> = Vec::new();
-    let mut lines = 0u64;
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let event = Event::from_json(line).unwrap_or_else(|e| {
-            eprintln!(
-                "{BIN}: {}:{}: bad event line: {e}",
-                path.display(),
-                lineno + 1
-            );
-            exit(1);
-        });
-        lines += 1;
+    for event in &events {
         bump(&mut by_label, event.label());
         match event {
             Event::Promote { rule, .. } => {
@@ -167,8 +156,9 @@ fn report_events(path: &Path) {
     }
 
     println!(
-        "== events: {} ({lines} lines, all parsed) ==\n",
-        path.display()
+        "== events: {} ({} lines, all parsed) ==\n",
+        path.display(),
+        events.len()
     );
     let mut table = Table::new(["event", "count"]);
     table.title("Event counts");
@@ -308,49 +298,30 @@ fn report_live(base: &Path) {
     let nodes = field("nodes") as u16;
     let shards = field("shards");
 
-    // Differential replay: every shard journal through the lockstep
-    // engine/specification checker, zero violations tolerated.
+    // Differential replay: every shard journal through the one journal
+    // judge, its checker's events against the shard's committed ones;
+    // zero violations tolerated.
     let mut applied = 0u64;
     let mut journal_writes = 0u64;
+    let mut verdict = VerifyOutcome::default();
     for shard in 0..shards as u32 {
         let journal_path = mcc_live::journal_path(base, shard);
-        let trace = std::fs::File::open(&journal_path)
-            .map_err(|e| format!("cannot open {}: {e}", journal_path.display()))
-            .and_then(|f| {
-                Trace::read_from(f).map_err(|e| format!("{}: {e}", journal_path.display()))
-            })
-            .unwrap_or_else(|e| fail(e));
+        let trace = std::fs::read(&journal_path)
+            .map_err(|e| e.to_string())
+            .and_then(|bytes| Trace::read_from(&bytes[..]).map_err(|e| e.to_string()))
+            .unwrap_or_else(|e| fail(format!("{}: {e}", journal_path.display())));
         applied += trace.len() as u64;
         journal_writes += trace.iter().filter(|r| r.op.is_write()).count() as u64;
-        let checker = mcc_check::Checker::new(&mcc_check::CheckerConfig::new(protocol, nodes));
-        if let Err(v) = checker.run(&trace) {
-            fail(format!("shard {shard} journal replay: {v}"));
-        }
 
-        // Event stream: every line parses; exactly one step event per
-        // journal entry (the commit protocol makes this exact even
-        // across crash-restarts).
-        let events_path = mcc_live::events_path(base, shard);
-        let text = read(&events_path);
-        let mut steps = 0u64;
-        for (lineno, line) in text.lines().filter(|l| !l.trim().is_empty()).enumerate() {
-            let event = Event::from_json(line).unwrap_or_else(|e| {
-                fail(format!(
-                    "{}:{}: bad event line: {e}",
-                    events_path.display(),
-                    lineno + 1
-                ))
-            });
-            if matches!(event, Event::Step { .. }) {
-                steps += 1;
-            }
+        let events = read_events(&mcc_live::events_path(base, shard));
+        let mut replay = JournalReplay::new(protocol, nodes, shard);
+        for r in trace.iter() {
+            replay.step(*r, None, &mut verdict);
         }
-        if steps != trace.len() as u64 {
-            fail(format!(
-                "shard {shard}: {steps} step events vs {} journal entries",
-                trace.len()
-            ));
-        }
+        replay.finish(None, &events, &mut verdict);
+    }
+    if !verdict.ok() {
+        fail(format!("journal replay: {}", verdict.violations.join("; ")));
     }
 
     // Counter reconciliation within the summary and against the plan.
@@ -541,6 +512,24 @@ fn bump_string(counts: &mut Vec<(String, u64)>, label: String) {
         Some((_, n)) => *n += 1,
         None => counts.push((label, 1)),
     }
+}
+
+/// Every event of a JSONL file; exits non-zero on the first line that
+/// does not parse.
+fn read_events(path: &Path) -> Vec<Event> {
+    let text = read(path);
+    let mut events = Vec::new();
+    for (i, line) in text
+        .lines()
+        .enumerate()
+        .filter(|(_, l)| !l.trim().is_empty())
+    {
+        events.push(Event::from_json(line).unwrap_or_else(|e| {
+            eprintln!("{BIN}: {}:{}: bad event line: {e}", path.display(), i + 1);
+            exit(1);
+        }));
+    }
+    events
 }
 
 fn read(path: &Path) -> String {

@@ -31,8 +31,9 @@ use std::time::Duration;
 
 use mcc_bench::args::Flags;
 use mcc_bench::{try_run_protocol_traced, ObsOptions, RunOptions};
+use mcc_core::checkpoint::{commit_tmp, stage_tmp};
 use mcc_core::{
-    CheckpointPolicy, DirectorySimConfig, FaultPlan, Protocol, SimError, SimResult,
+    CheckpointPolicy, DirectorySimConfig, FaultPlan, Protocol, RealStorage, SimError, SimResult,
     SnapshotGeneration,
 };
 use mcc_obs::{SnapshotWriter, Telemetry, TelemetryServer};
@@ -287,8 +288,11 @@ fn run_cell(
     }
 }
 
-/// Writes the cell's counters atomically (temp file + rename), so a
-/// kill mid-write can never fabricate a completed cell.
+/// Writes the cell's counters through the crash-ordered write (fsynced
+/// temp file, rename, fsynced directory), so neither a kill nor a power
+/// cut can fabricate a completed cell: the file is the completion
+/// marker a restart skips on, and it is durable before the cell's
+/// checkpoint is removed.
 fn write_result(
     path: &Path,
     cell: &Cell,
@@ -309,9 +313,8 @@ fn write_result(
         ("invalidations", result.events.invalidations.to_string()),
         ("recovered_from", recovered_from),
     ]);
-    let tmp = path.with_extension("result.tmp");
-    fs::write(&tmp, body)?;
-    fs::rename(&tmp, path)
+    let tmp = stage_tmp(&RealStorage, path, body.as_bytes())?;
+    commit_tmp(&RealStorage, &tmp, path)
 }
 
 fn parse_manifest(path: &Path) -> Vec<Cell> {

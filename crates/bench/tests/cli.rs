@@ -214,3 +214,46 @@ fn every_bin_accepts_a_well_formed_command() {
     let info = accepted(&run_in(&dir, env!("CARGO_BIN_EXE_traceinfo"), &["w.mcct"]));
     assert!(info.contains("2 nodes"), "{info}");
 }
+
+#[test]
+fn obs_report_live_rejects_a_duplicated_invalidation() {
+    let dir = scratch("live-tamper");
+    let obs_report = env!("CARGO_BIN_EXE_obs_report");
+    accepted(&run_in(
+        &dir,
+        env!("CARGO_BIN_EXE_live"),
+        &[
+            "--nodes",
+            "4",
+            "--shards",
+            "2",
+            "--max-refs",
+            "300",
+            "--out",
+            "run",
+        ],
+    ));
+    accepted(&run_in(&dir, obs_report, &["--live", "run"]));
+
+    // One more copy of the first invalidation a shard committed: every
+    // line still parses and the step events still match the journal.
+    let invalidation = |l: &&str| l.contains(r#""ev":"invalidation""#);
+    let (shard, path, text) = (0..2)
+        .find_map(|shard| {
+            let path = dir.join(format!("run.shard-{shard}.events.jsonl"));
+            let text = std::fs::read_to_string(&path).unwrap();
+            text.lines()
+                .any(|l| invalidation(&l))
+                .then_some((shard, path, text))
+        })
+        .expect("a migratory workload invalidates");
+    let mut lines: Vec<&str> = text.lines().collect();
+    let at = lines.iter().position(invalidation).unwrap();
+    lines.insert(at, lines[at]);
+    std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+
+    let out = run_in(&dir, obs_report, &["--live", "run"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains(&format!("shard {shard}: ")), "{stderr}");
+}

@@ -38,7 +38,7 @@ use mcc_core::{
     AnyEngine, CopiesCreated, DirectorySimConfig, Engine, EngineKind, MessageBreakdown,
     MessageCount, PlacementPolicy, Protocol, SimResult, StepInfo, StepKind,
 };
-use mcc_obs::{shared, BufferSink, Event, Rule};
+use mcc_obs::{lock_sink, shared, BufferSink, Event, Rule};
 use mcc_placement::PagePlacement;
 use mcc_trace::{BlockSize, MemOp, MemRef};
 
@@ -158,6 +158,21 @@ impl CheckerConfig {
             directory: mcc_core::DirectoryRepr::FullMap,
         }
     }
+
+    /// The machine a checker runs: `nodes` nodes, [`CHECK_BLOCK_SIZE`]
+    /// blocks, this cache and directory, and round-robin placement,
+    /// which with the few blocks a checker sees spreads homes across
+    /// nodes. The live service's shards run it too, so a journal always
+    /// replays on the machine that wrote it.
+    pub fn sim_config(&self) -> DirectorySimConfig {
+        DirectorySimConfig {
+            nodes: self.nodes,
+            block_size: CHECK_BLOCK_SIZE,
+            cache: self.cache,
+            placement: PlacementPolicy::RoundRobin,
+            directory: self.directory,
+        }
+    }
 }
 
 /// The block size every checker runs at (one block = 16 bytes, so
@@ -169,7 +184,6 @@ pub const CHECK_BLOCK_SIZE: BlockSize = BlockSize::B16;
 pub struct Checker {
     engine: AnyEngine,
     spec: ReferenceModel,
-    protocol: Protocol,
     nodes: u16,
     sink: Arc<Mutex<BufferSink>>,
     /// Events already consumed from the sink buffer.
@@ -189,17 +203,9 @@ pub struct Checker {
 }
 
 impl Checker {
-    /// Builds a checker (engine + spec + event tap) for `config`.
-    /// Placement is round-robin; with the small block counts the
-    /// checker uses, that spreads homes across nodes.
+    /// Builds a checker (engine + spec + event tap) for `config`, on
+    /// the machine [`CheckerConfig::sim_config`] names.
     pub fn new(config: &CheckerConfig) -> Checker {
-        let sim_config = DirectorySimConfig {
-            nodes: config.nodes,
-            block_size: CHECK_BLOCK_SIZE,
-            cache: config.cache,
-            placement: PlacementPolicy::RoundRobin,
-            directory: config.directory,
-        };
         let (sink, handle) = shared(BufferSink::new());
         let kind = if config.fast_engine {
             EngineKind::Fast
@@ -209,7 +215,7 @@ impl Checker {
         let engine = AnyEngine::new(
             kind,
             config.protocol,
-            &sim_config,
+            &config.sim_config(),
             PagePlacement::round_robin(config.nodes),
         )
         .with_sink(handle);
@@ -220,7 +226,6 @@ impl Checker {
         Checker {
             engine,
             spec,
-            protocol: config.protocol,
             nodes: config.nodes,
             sink,
             drained: 0,
@@ -246,7 +251,6 @@ impl Checker {
         Checker {
             engine,
             spec: self.spec.clone(),
-            protocol: self.protocol,
             nodes: self.nodes,
             sink,
             drained: 0,
@@ -264,6 +268,13 @@ impl Checker {
     /// Steps processed so far.
     pub fn steps(&self) -> u64 {
         self.steps
+    }
+
+    /// Every event the engine has emitted into this checker's tap, in
+    /// order: the tap keeps them all, and [`Checker::check_step`] only
+    /// moves a cursor over them. A [`Checker::fork`] starts a new tap.
+    pub fn events(&self) -> Vec<Event> {
+        lock_sink(&self.sink).events().to_vec()
     }
 
     /// Per-block migration counts observed so far.
@@ -472,11 +483,7 @@ impl Checker {
         info: &StepInfo,
         block: u64,
     ) -> Result<(BTreeSet<(u16, u64)>, Vec<SpecReclass>), CheckViolation> {
-        let events: Vec<Event> = {
-            let sink = self.sink.lock().unwrap_or_else(|e| e.into_inner());
-            let all = sink.events();
-            all[self.drained..].to_vec()
-        };
+        let events: Vec<Event> = lock_sink(&self.sink).events()[self.drained..].to_vec();
         self.drained += events.len();
         let mut steps_seen = 0u64;
         let mut invalidated = BTreeSet::new();
@@ -589,14 +596,14 @@ impl Checker {
     /// The §2 rule-legality table: which detection rules may promote
     /// or demote under this protocol's policy.
     fn check_rule_legality(&self, f: &SpecReclass) -> Result<(), CheckViolation> {
-        let Some(policy) = self.protocol.policy() else {
+        let Some(policy) = self.engine.protocol().policy() else {
             return Err(self.violation(
                 InvariantId::Classification,
                 Some(f.block),
                 format!(
                     "{} announced for non-adaptive protocol {}",
                     if f.promoted { "promotion" } else { "demotion" },
-                    self.protocol
+                    self.engine.protocol()
                 ),
             ));
         };
@@ -638,7 +645,7 @@ impl Checker {
                     "{} via rule {} is illegal under {}",
                     if f.promoted { "promotion" } else { "demotion" },
                     f.rule.label(),
-                    self.protocol
+                    self.engine.protocol()
                 ),
             ))
         }
@@ -709,7 +716,7 @@ impl Checker {
         r: MemRef,
         block: u64,
     ) -> Result<(), CheckViolation> {
-        let Some(policy) = self.protocol.policy() else {
+        let Some(policy) = self.engine.protocol().policy() else {
             return Ok(());
         };
         let Some(pre) = pre else { return Ok(()) };

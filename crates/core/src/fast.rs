@@ -719,9 +719,11 @@ impl Engine for FastEngine {
     /// Copyset/residency agreement and the single-writer invariant hold
     /// by representation (the copyset *is* residency, and multiple
     /// holders are Shared by construction), so only the dirty-bit and
-    /// memory-freshness checks can fire.
+    /// memory-freshness checks can fire. Slots sit in first-reference
+    /// order, so the sweep reports the lowest broken block, as the
+    /// reference engine does.
     fn verify(&self) -> Result<(), Violation> {
-        let sweep = "invariant sweep";
+        let mut lowest: Option<(usize, ViolationKind)> = None;
         for slot in 0..self.blocks.len() {
             let holders = &self.copyset[slot];
             let any_dirty =
@@ -736,15 +738,20 @@ impl Engine for FastEngine {
             } else {
                 continue;
             };
-            return Err(Violation {
+            if lowest.is_none_or(|(s, _)| self.blocks[slot] < self.blocks[s]) {
+                lowest = Some((slot, kind));
+            }
+        }
+        match lowest {
+            Some((slot, kind)) => Err(Violation {
                 block: self.blocks[slot],
                 step: self.frame.ledger.steps,
                 kind,
-                context: sweep,
+                context: "invariant sweep",
                 entry: Some(self.entry_at(slot)),
-            });
+            }),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     fn messages(&self) -> MessageBreakdown {

@@ -103,38 +103,46 @@ impl Monitor {
         self.sweep(engine)
     }
 
+    /// Lines come in the engine's own order, so the sweep reports the
+    /// lowest broken block and, within it, the lowest node; a clean
+    /// sweep never compares.
     fn sweep<E: Engine>(&mut self, engine: &E) -> Result<(), Violation> {
         engine.verify()?;
-        for (_, block, _, version) in engine.resident_lines() {
+        let mut lowest = None;
+        for (node, block, _, version) in engine.resident_lines() {
             let latest = engine.latest_version(block);
-            if version != latest {
-                return Err(Violation {
-                    block,
-                    step: engine.steps(),
-                    kind: ViolationKind::StaleRead {
-                        observed: version,
-                        latest,
-                    },
-                    context: "monitor data-value sweep",
-                    entry: engine.dir_entry(block),
-                });
+            let broken = if version != latest {
+                let kind = ViolationKind::StaleRead {
+                    observed: version,
+                    latest,
+                };
+                (kind, "monitor data-value sweep")
+            } else {
+                let seen = self.high_water.entry(block).or_insert(0);
+                if latest >= *seen {
+                    *seen = latest;
+                    continue;
+                }
+                let kind = ViolationKind::StaleRead {
+                    observed: latest,
+                    latest: *seen,
+                };
+                (kind, "monitor version regression")
+            };
+            if lowest.is_none_or(|(b, n, _)| (block, node) < (b, n)) {
+                lowest = Some((block, node, broken));
             }
-            let seen = self.high_water.entry(block).or_insert(0);
-            if latest < *seen {
-                return Err(Violation {
-                    block,
-                    step: engine.steps(),
-                    kind: ViolationKind::StaleRead {
-                        observed: latest,
-                        latest: *seen,
-                    },
-                    context: "monitor version regression",
-                    entry: engine.dir_entry(block),
-                });
-            }
-            *seen = latest;
         }
-        Ok(())
+        match lowest {
+            Some((block, _, (kind, context))) => Err(Violation {
+                block,
+                step: engine.steps(),
+                kind,
+                context,
+                entry: engine.dir_entry(block),
+            }),
+            None => Ok(()),
+        }
     }
 
     /// Number of full invariant sweeps performed so far.

@@ -898,12 +898,20 @@ impl Engine for DirectoryEngine {
                 }
             }
         }
-        let sweep = "invariant sweep";
+        // Both tables iterate in a per-map random order, so the sweep
+        // reports the lowest broken block, not the first one it meets;
+        // a clean sweep never compares.
+        let mut lowest: Option<(BlockAddr, ViolationKind)> = None;
+        let mut broken = |block: BlockAddr, kind| {
+            if lowest.is_none_or(|(b, _)| block < b) {
+                lowest = Some((block, kind));
+            }
+        };
         // A resident block with no directory entry is a copyset
         // mismatch the entry-driven loop below would never visit.
         for &block in residency.keys() {
             if !self.dir.contains_key(&block) {
-                return Err(self.violation(block, ViolationKind::CopysetMismatch, sweep));
+                broken(block, ViolationKind::CopysetMismatch);
             }
         }
         for (&block, entry) in &self.dir {
@@ -911,27 +919,26 @@ impl Engine for DirectoryEngine {
             let r = residency.get(&block).unwrap_or(&empty);
             let (holders, exclusive, shared, any_dirty) =
                 (&r.holders, r.exclusive, r.shared, r.any_dirty);
-            if entry.copyset != *holders {
-                return Err(self.violation(block, ViolationKind::CopysetMismatch, sweep));
-            }
-            if !(exclusive == 0 || (exclusive == 1 && shared == 0)) {
-                return Err(self.violation(block, ViolationKind::ExclusiveConflict, sweep));
-            }
-            if entry.dirty != any_dirty {
-                return Err(self.violation(block, ViolationKind::DirtyBitMismatch, sweep));
-            }
-            if !any_dirty && self.memory_version(block) != self.latest_version(block) {
-                return Err(self.violation(
-                    block,
-                    ViolationKind::StaleMemory {
-                        memory: self.memory_version(block),
-                        latest: self.latest_version(block),
-                    },
-                    sweep,
-                ));
-            }
+            let kind = if entry.copyset != *holders {
+                ViolationKind::CopysetMismatch
+            } else if !(exclusive == 0 || (exclusive == 1 && shared == 0)) {
+                ViolationKind::ExclusiveConflict
+            } else if entry.dirty != any_dirty {
+                ViolationKind::DirtyBitMismatch
+            } else if !any_dirty && self.memory_version(block) != self.latest_version(block) {
+                ViolationKind::StaleMemory {
+                    memory: self.memory_version(block),
+                    latest: self.latest_version(block),
+                }
+            } else {
+                continue;
+            };
+            broken(block, kind);
         }
-        Ok(())
+        match lowest {
+            Some((block, kind)) => Err(self.violation(block, kind, "invariant sweep")),
+            None => Ok(()),
+        }
     }
 
     fn messages(&self) -> MessageBreakdown {

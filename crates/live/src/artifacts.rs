@@ -26,6 +26,7 @@ use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use mcc_check::protocol_slug;
+use mcc_core::checkpoint::{commit_tmp, stage_tmp};
 use mcc_core::{RealStorage, Storage};
 use mcc_stats::kv_lines;
 use mcc_trace::Trace;
@@ -104,14 +105,11 @@ pub fn write_artifacts_on(
     Ok(written)
 }
 
-/// Atomic publish: write a sibling tmp file, fsync it, rename it into
-/// place, and fsync the parent directory.
+/// Atomic publish through the crash-ordered write: an fsynced sibling
+/// `.tmp` file renamed into place, then the parent directory fsynced.
 fn publish(storage: &dyn Storage, path: &Path, bytes: Vec<u8>) -> io::Result<()> {
-    let tmp = with_suffix(path, ".tmp");
-    storage.write_file(&tmp, &bytes)?;
-    storage.sync(&tmp)?;
-    storage.rename(&tmp, path)?;
-    storage.sync_parent(path)
+    let tmp = stage_tmp(storage, path, &bytes)?;
+    commit_tmp(storage, &tmp, path)
 }
 
 /// Renders the summary key/value document.

@@ -64,6 +64,6 @@ pub use chaos::{ChannelStats, ChaosChannel, SharedChannelStats};
 pub use client::ClientReport;
 pub use service::{run_live, KillSpec, LiveConfig, LiveReport, ShardOutcome, WalConfig};
 pub use telemetry::TelemetrySpec;
-pub use verify::{verify_run, VerifyOutcome};
+pub use verify::{verify_run, JournalReplay, VerifyOutcome};
 pub use wal::{open_wal, read_wal, SalvagedWal, WalRecord, WalStats};
 pub use wire::{JournalEntry, Reply, Request};

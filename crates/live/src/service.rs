@@ -15,9 +15,10 @@
 //!   marked failed; its clients fail their in-flight references
 //!   through the bounded retry path, and the run completes with the
 //!   surviving shards' results salvaged;
-//! * **differential verification** — after the run (and, with
-//!   [`LiveConfig::verify_live`], concurrently with it) the journals
-//!   replay through `mcc-check`'s lockstep checker; see
+//! * **differential verification** — each shard journal replays once
+//!   through `mcc-check`'s lockstep checker: with
+//!   [`LiveConfig::verify_live`] a sampler starts the replays while the
+//!   run goes on, and the verdict after it continues them; see
 //!   [`verify`](crate::verify).
 
 use std::path::PathBuf;
@@ -27,7 +28,6 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use mcc_check::{Checker, CheckerConfig};
 use mcc_core::{FaultPlan, Protocol, RealStorage, SimResult, Storage};
 use mcc_obs::{Event, Log2Histogram, Registry, SnapshotWriter, TelemetryServer};
 use mcc_workloads::{Workload, WorkloadParams};
@@ -36,7 +36,7 @@ use crate::chaos::ChannelStats;
 use crate::client::{run_client, ClientCtx, ClientReport};
 use crate::shard::{lock, run_incarnation, DurableCtx, ShardCtx, ShardShared};
 use crate::telemetry::{LiveTelemetry, TelemetrySpec};
-use crate::verify::{verify_run, VerifyOutcome};
+use crate::verify::{resume_run, JournalReplay, VerifyOutcome};
 use crate::wal::WalStats;
 use crate::wire::{JournalEntry, Reply, Request};
 
@@ -111,10 +111,9 @@ impl std::fmt::Debug for WalConfig {
 
 /// Configuration for a live run.
 ///
-/// The engine geometry is fixed to the checker's canonical
-/// configuration (16-byte blocks, infinite caches, round-robin
-/// placement, full-map directory) so every journal replays through
-/// `mcc-check` verbatim.
+/// Every shard runs the machine
+/// [`CheckerConfig::sim_config`](mcc_check::CheckerConfig::sim_config)
+/// names, so every journal replays through `mcc-check` verbatim.
 #[derive(Clone, Debug)]
 pub struct LiveConfig {
     /// Protocol point under test.
@@ -161,7 +160,8 @@ pub struct LiveConfig {
     /// `Some(d)`: soak mode — clients cycle their reference stream
     /// for `d`, then stop at the next reference boundary.
     pub soak: Option<Duration>,
-    /// Sample the journals with a concurrent checker while running.
+    /// Replay the journals while running, so violations surface
+    /// mid-run; the verdict continues those replays.
     pub verify_live: bool,
     /// Optional crash drill.
     pub kill: Option<KillSpec>,
@@ -235,11 +235,12 @@ pub struct LiveReport {
     pub shards: Vec<ShardOutcome>,
     /// Wall-clock time of the whole run (including drain).
     pub wall: Duration,
-    /// Post-run differential verification (with any in-run sampling
-    /// violations folded in).
+    /// The differential verification of the journals: the verdict
+    /// continues the in-run sampler's replays, so it counts the
+    /// sampler's steps and violations too.
     pub verify: VerifyOutcome,
-    /// Journal entries the in-run sampler checked (0 unless
-    /// [`LiveConfig::verify_live`]).
+    /// Journal entries the in-run sampler checked before the verdict
+    /// took over (0 unless [`LiveConfig::verify_live`]).
     pub live_verified_steps: u64,
     /// Final snapshot of the telemetry plane, when one was on — the
     /// same registry a scraper saw, for end-of-run reconciliation.
@@ -514,10 +515,8 @@ pub fn run_live(cfg: &LiveConfig) -> Result<LiveReport, String> {
     drop(request_txs);
     drop(client_tx);
 
-    // --- Optional in-run sampling verifier. ---
-    let verifier = cfg
-        .verify_live
-        .then(|| spawn_live_verifier(cfg, &shard_sups));
+    // --- Optional in-run sampler. ---
+    let sampler = cfg.verify_live.then(|| spawn_sampler(cfg, &shard_sups));
 
     // Soak duration means *live traffic* time: the clock starts once
     // the clients are up, not at process start, so workload generation
@@ -601,10 +600,11 @@ pub fn run_live(cfg: &LiveConfig) -> Result<LiveReport, String> {
     for handle in client_handles {
         let _ = handle.join();
     }
-    let (live_verified_steps, live_violations) = match verifier {
-        Some(v) => v.finish(),
-        None => (0, Vec::new()),
+    let (replays, sampled) = match sampler {
+        Some(sampler) => sampler.finish(cfg),
+        None => (fresh_replays(cfg), VerifyOutcome::default()),
     };
+    let live_verified_steps = sampled.steps_replayed;
     let wall = started.elapsed();
 
     // Settle the telemetry plane: final gauge tick, cut the report's
@@ -644,10 +644,9 @@ pub fn run_live(cfg: &LiveConfig) -> Result<LiveReport, String> {
         .map(|r| r.expect("all clients reported"))
         .collect();
 
-    let mut verify = verify_run(cfg.protocol, cfg.nodes, &shards_out, &clients);
-    for v in live_violations {
-        verify.violations.push(format!("live sampler: {v}"));
-    }
+    // The verdict continues the sampler's replays, so each entry is
+    // checked once per run.
+    let verify = resume_run(replays, sampled, &shards_out, &clients);
 
     Ok(LiveReport {
         protocol: cfg.protocol,
@@ -726,74 +725,48 @@ fn panic_msg(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Handle to the in-run sampling verifier thread.
-struct LiveVerifier {
+/// Handle to the in-run sampler thread.
+struct Sampler {
     stop: Arc<AtomicBool>,
-    handle: thread::JoinHandle<(u64, Vec<String>)>,
+    handle: thread::JoinHandle<(Vec<JournalReplay>, VerifyOutcome)>,
 }
 
-impl LiveVerifier {
-    fn finish(self) -> (u64, Vec<String>) {
+impl Sampler {
+    /// Stops the sampler and takes back its replays, each stopped at the
+    /// last entry it stepped, with what they recorded so far. A sampler
+    /// that panicked hands back fresh replays, and says so.
+    fn finish(self, cfg: &LiveConfig) -> (Vec<JournalReplay>, VerifyOutcome) {
         self.stop.store(true, Ordering::Relaxed);
-        self.handle
-            .join()
-            .unwrap_or((0, vec!["live sampler thread panicked".into()]))
+        self.handle.join().unwrap_or_else(|_| {
+            let mut lost = VerifyOutcome::default();
+            lost.violations.push("live sampler thread panicked".into());
+            (fresh_replays(cfg), lost)
+        })
     }
 }
 
-/// Spawns a thread that incrementally replays each shard's journal
-/// through its own lockstep checker while the service runs, surfacing
+/// Spawns a thread that steps each shard's [`JournalReplay`] over the
+/// journal entries committed so far while the service runs, surfacing
 /// rule violations within milliseconds of being committed instead of
-/// at the end of the run. Restarts are invisible to it: the journal is
-/// append-only across incarnations.
-fn spawn_live_verifier(cfg: &LiveConfig, shard_sups: &[ShardSup]) -> LiveVerifier {
+/// at the end of the run; the verdict then continues the same replays.
+/// Restarts are invisible to it: the journal is append-only across
+/// incarnations.
+fn spawn_sampler(cfg: &LiveConfig, shard_sups: &[ShardSup]) -> Sampler {
     let stop = Arc::new(AtomicBool::new(false));
     let stop_flag = Arc::clone(&stop);
     let shareds: Vec<Arc<ShardShared>> = shard_sups.iter().map(|s| Arc::clone(&s.shared)).collect();
-    let protocol = cfg.protocol;
-    let nodes = cfg.nodes;
+    let mut replays = fresh_replays(cfg);
     let handle = thread::Builder::new()
         .name("mcc-live-verifier".to_string())
         .spawn(move || {
-            let mut checkers: Vec<Option<Checker>> = (0..shareds.len())
-                .map(|_| Some(Checker::new(&CheckerConfig::new(protocol, nodes))))
-                .collect();
-            let mut cursors = vec![0usize; shareds.len()];
-            let mut checked = 0u64;
-            let mut violations = Vec::new();
+            let mut out = VerifyOutcome::default();
             loop {
                 let stopping = stop_flag.load(Ordering::Relaxed);
-                for (i, shared) in shareds.iter().enumerate() {
-                    let pending: Vec<JournalEntry> = {
-                        let journal = lock(&shared.journal);
-                        journal.entries[cursors[i]..].to_vec()
-                    };
-                    let Some(checker) = checkers[i].as_mut() else {
-                        cursors[i] += pending.len();
-                        continue;
-                    };
-                    let mut poisoned = false;
+                for (replay, shared) in replays.iter_mut().zip(&shareds) {
+                    let pending: Vec<JournalEntry> =
+                        lock(&shared.journal).entries[replay.cursor()..].to_vec();
                     for entry in pending {
-                        cursors[i] += 1;
-                        match checker.check_step(entry.mref) {
-                            Ok(info) => {
-                                checked += 1;
-                                if info.kind != entry.kind || info.messages != entry.messages {
-                                    violations.push(format!(
-                                        "shard {i} step {}: live {:?} vs replay {:?}",
-                                        entry.step, entry.kind, info.kind
-                                    ));
-                                }
-                            }
-                            Err(v) => {
-                                violations.push(format!("shard {i}: {v}"));
-                                poisoned = true;
-                                break;
-                            }
-                        }
-                    }
-                    if poisoned {
-                        checkers[i] = None;
+                        replay.step(entry.mref, Some((entry.kind, entry.messages)), &mut out);
                     }
                 }
                 if stopping {
@@ -801,8 +774,15 @@ fn spawn_live_verifier(cfg: &LiveConfig, shard_sups: &[ShardSup]) -> LiveVerifie
                 }
                 thread::sleep(Duration::from_millis(5));
             }
-            (checked, violations)
+            (replays, out)
         })
         .expect("spawn live verifier");
-    LiveVerifier { stop, handle }
+    Sampler { stop, handle }
+}
+
+/// One replay per shard, from each journal's first entry.
+fn fresh_replays(cfg: &LiveConfig) -> Vec<JournalReplay> {
+    (0..cfg.shards as u32)
+        .map(|shard| JournalReplay::new(cfg.protocol, cfg.nodes, shard))
+        .collect()
 }

@@ -3,9 +3,9 @@
 //!
 //! Each shard owns a disjoint set of blocks (the same
 //! [`shard_of_block`](mcc_trace::shard_of_block) partition the offline
-//! sharded runner uses) and runs a private [`DirectoryEngine`] over the
-//! checker's canonical geometry, so its journal replays directly
-//! through `mcc-check`'s lockstep checker.
+//! sharded runner uses) and runs a private [`DirectoryEngine`] on the
+//! machine [`CheckerConfig::sim_config`] names, so its journal replays
+//! directly through `mcc-check`'s lockstep checker.
 //!
 //! # Incarnations, fencing, and the WAL
 //!
@@ -31,11 +31,9 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use mcc_cache::CacheConfig;
-use mcc_check::CHECK_BLOCK_SIZE;
+use mcc_check::CheckerConfig;
 use mcc_core::{
-    DirectoryEngine, DirectoryRepr, DirectorySimConfig, Engine, EngineSnapshot, PlacementPolicy,
-    Protocol, SimResult, SnapshotGeneration, Storage,
+    DirectoryEngine, Engine, EngineSnapshot, Protocol, SimResult, SnapshotGeneration, Storage,
 };
 use mcc_obs::{shared, BufferSink, Event, EventSink, TelemetrySink, DEFAULT_PUBLISH_EVERY};
 use mcc_placement::PagePlacement;
@@ -143,20 +141,6 @@ pub(crate) struct DurableCtx {
     pub snap_path: PathBuf,
 }
 
-impl ShardCtx {
-    /// The engine geometry every shard runs: the checker's canonical
-    /// configuration, so journals replay through `mcc-check` verbatim.
-    pub(crate) fn engine_config(&self) -> DirectorySimConfig {
-        DirectorySimConfig {
-            nodes: self.nodes,
-            block_size: CHECK_BLOCK_SIZE,
-            cache: CacheConfig::Infinite,
-            placement: PlacementPolicy::RoundRobin,
-            directory: DirectoryRepr::FullMap,
-        }
-    }
-}
-
 /// Derives a channel/draw seed from the run's chaos seed and a role
 /// tag, so every channel gets an independent deterministic stream.
 pub(crate) fn derive_seed(base: u64, role: u64, a: u64, b: u64) -> u64 {
@@ -177,7 +161,8 @@ pub(crate) fn run_incarnation(
     reply_txs: &[std::sync::mpsc::Sender<Reply>],
     epoch: u64,
 ) -> Result<SimResult, String> {
-    let config = ctx.engine_config();
+    // The checker's machine, so the journal replays on what wrote it.
+    let config = CheckerConfig::new(ctx.protocol, ctx.nodes).sim_config();
     let placement = PagePlacement::round_robin(ctx.nodes);
 
     // --- Rebuild the engine from checkpoint + WAL suffix. ---

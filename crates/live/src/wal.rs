@@ -561,17 +561,10 @@ mod tests {
 
     #[test]
     fn snapshot_rotation_and_fallback() {
-        use mcc_cache::CacheConfig;
-        use mcc_core::{DirectoryEngine, DirectorySimConfig, Engine, PlacementPolicy, Protocol};
+        use mcc_core::{DirectoryEngine, Engine, Protocol};
         use mcc_placement::PagePlacement;
 
-        let config = DirectorySimConfig {
-            nodes: 2,
-            block_size: mcc_check::CHECK_BLOCK_SIZE,
-            cache: CacheConfig::Infinite,
-            placement: PlacementPolicy::RoundRobin,
-            directory: mcc_core::DirectoryRepr::FullMap,
-        };
+        let config = mcc_check::CheckerConfig::new(Protocol::Basic, 2).sim_config();
         let mut engine =
             DirectoryEngine::new(Protocol::Basic, &config, PagePlacement::round_robin(2));
         engine

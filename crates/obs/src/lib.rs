@@ -15,7 +15,6 @@
 //!   code.
 //! * [`RingSink`] — a bounded ring of the most recent events.
 //! * [`BufferSink`] — the full stream, for post-run export/merging.
-//! * [`JsonlSink`] — streams JSON Lines to a file.
 //! * [`MetricsRecorder`] — aggregates into a [`Registry`] of named
 //!   counters, gauges, and log2 histograms with per-N-records interval
 //!   snapshots.
@@ -54,9 +53,7 @@ pub use event::{Event, Rule, StepKind};
 pub use json::{Json, JsonError};
 pub use metrics::{IntervalSnapshot, Log2Histogram, MetricsRecorder, Registry, DEFAULT_INTERVAL};
 pub use recorder::{FlightRecorder, TimelineEntry, DEFAULT_RING};
-pub use sink::{
-    lock_sink, shared, BufferSink, EventSink, FanoutSink, JsonlSink, NullSink, RingSink, SharedSink,
-};
+pub use sink::{lock_sink, shared, BufferSink, EventSink, NullSink, RingSink, SharedSink};
 pub use span::{AtomicHistogram, SpanId, Stage};
 pub use telemetry::{
     http_get, prometheus_name, SnapshotWriter, Telemetry, TelemetryServer, TelemetrySink,

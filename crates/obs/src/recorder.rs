@@ -1,11 +1,10 @@
 //! The flight recorder: a crash-dump view of the recent event stream.
 //!
-//! Attach a [`FlightRecorder`] (usually alongside other sinks via
-//! `FanoutSink`) and, when a run dies with a `Monitor` violation or a
-//! `SimError`, call [`FlightRecorder::report`] with the offending block
-//! to render the last-K event dump plus that block's classification
-//! timeline — the "what was the protocol doing right before it went
-//! wrong" context the aggregate counters cannot provide.
+//! Attach a [`FlightRecorder`] and, when a run dies with a `Monitor`
+//! violation or a `SimError`, call [`FlightRecorder::report`] with the
+//! offending block to render the last-K event dump plus that block's
+//! classification timeline — the "what was the protocol doing right
+//! before it went wrong" context the aggregate counters cannot provide.
 
 use crate::event::{Event, Rule};
 use crate::sink::{EventSink, RingSink};

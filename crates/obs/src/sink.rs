@@ -11,9 +11,7 @@
 use crate::event::Event;
 use std::collections::VecDeque;
 use std::fmt;
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
-use std::path::Path;
+use std::io;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A consumer of protocol events.
@@ -141,94 +139,6 @@ impl EventSink for BufferSink {
     }
 }
 
-/// Streams events as JSON Lines to a writer.
-///
-/// Write errors are sticky: the first error stops further output and
-/// is reported by [`EventSink::flush`] (and by [`JsonlSink::finish`]).
-pub struct JsonlSink<W: Write + Send> {
-    out: W,
-    lines: u64,
-    error: Option<io::Error>,
-}
-
-impl JsonlSink<BufWriter<File>> {
-    /// Creates (truncating) `path` and streams events into it.
-    pub fn create(path: &Path) -> io::Result<JsonlSink<BufWriter<File>>> {
-        Ok(JsonlSink::new(BufWriter::new(File::create(path)?)))
-    }
-}
-
-impl<W: Write + Send> JsonlSink<W> {
-    /// Wraps an arbitrary writer.
-    pub fn new(out: W) -> JsonlSink<W> {
-        JsonlSink {
-            out,
-            lines: 0,
-            error: None,
-        }
-    }
-
-    /// Lines successfully written so far.
-    pub fn lines(&self) -> u64 {
-        self.lines
-    }
-
-    /// Flushes and surfaces any sticky write error.
-    pub fn finish(mut self) -> io::Result<u64> {
-        EventSink::flush(&mut self)?;
-        Ok(self.lines)
-    }
-}
-
-impl<W: Write + Send> EventSink for JsonlSink<W> {
-    fn emit(&mut self, event: &Event) {
-        if self.error.is_some() {
-            return;
-        }
-        let mut line = event.to_json();
-        line.push('\n');
-        match self.out.write_all(line.as_bytes()) {
-            Ok(()) => self.lines += 1,
-            Err(e) => self.error = Some(e),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        self.out.flush()
-    }
-}
-
-/// Forwards each event to several shared sinks, in order.
-#[derive(Clone, Default)]
-pub struct FanoutSink {
-    sinks: Vec<SharedSink>,
-}
-
-impl FanoutSink {
-    /// A fanout over the given sinks.
-    pub fn new(sinks: Vec<SharedSink>) -> FanoutSink {
-        FanoutSink { sinks }
-    }
-}
-
-impl EventSink for FanoutSink {
-    fn emit(&mut self, event: &Event) {
-        for sink in &self.sinks {
-            sink.emit(event);
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        for sink in &self.sinks {
-            sink.flush()?;
-        }
-        Ok(())
-    }
-}
-
 /// A cloneable, thread-safe handle to a type-erased sink.
 ///
 /// Engines store this. Construct one with [`SharedSink::new`] when the
@@ -340,30 +250,6 @@ mod tests {
         }
         assert_eq!(buf.len(), 4);
         assert_eq!(buf.events()[3], ev(3));
-    }
-
-    #[test]
-    fn jsonl_writes_parseable_lines() {
-        let mut sink = JsonlSink::new(Vec::new());
-        sink.emit(&ev(1));
-        sink.emit(&ev(2));
-        assert_eq!(sink.lines(), 2);
-        let text = String::from_utf8(sink.out).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for line in lines {
-            Event::from_json(line).unwrap();
-        }
-    }
-
-    #[test]
-    fn fanout_reaches_every_sink() {
-        let (ring, ring_handle) = shared(RingSink::new(8));
-        let (buf, buf_handle) = shared(BufferSink::new());
-        let mut fan = FanoutSink::new(vec![ring_handle, buf_handle]);
-        fan.emit(&ev(7));
-        assert_eq!(lock_sink(&ring).len(), 1);
-        assert_eq!(lock_sink(&buf).len(), 1);
     }
 
     #[test]

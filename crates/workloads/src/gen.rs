@@ -139,32 +139,77 @@ pub fn interleave_streams(streams: Vec<ChunkStream>, ctx: &mut GenCtx) -> Trace 
         })
         .collect();
     cursors.retain(|c| c.remaining > 0);
+    let mut weights = Fenwick::new(cursors.iter().map(|c| c.remaining));
     let mut total: u64 = cursors.iter().map(|c| c.remaining).sum();
     let mut out = Trace::with_capacity(total as usize);
     while total > 0 {
-        // Pick a stream weighted by remaining work.
-        let mut pick = ctx.rng().gen_range(0..total);
-        let mut index = 0;
-        for (i, c) in cursors.iter().enumerate() {
-            if pick < c.remaining {
-                index = i;
-                break;
-            }
-            pick -= c.remaining;
-        }
+        // Pick a stream weighted by remaining work: the first cursor
+        // whose running sum of remaining counts exceeds the draw.
+        let index = weights.first_above(ctx.rng().gen_range(0..total));
         let cursor = &mut cursors[index];
         let chunk = cursor
             .chunks
             .next()
             .expect("remaining > 0 implies more chunks");
         cursor.remaining -= chunk.len() as u64;
+        weights.add(index, -(chunk.len() as i64));
         total -= chunk.len() as u64;
         out.extend(chunk.refs().iter().copied());
         if cursor.remaining == 0 {
+            let last = cursors.len() - 1;
+            let moved = cursors[last].remaining;
+            weights.add(index, moved as i64);
+            weights.add(last, -(moved as i64));
             cursors.swap_remove(index);
         }
     }
     out
+}
+
+/// A Fenwick (binary indexed) tree over non-negative weights: point
+/// updates and the weighted pick in O(log n).
+struct Fenwick {
+    /// 1-based: `tree[i]` sums the weights `(i - lowbit(i), i]`.
+    tree: Vec<u64>,
+}
+
+impl Fenwick {
+    fn new(weights: impl Iterator<Item = u64>) -> Fenwick {
+        let mut tree = vec![0];
+        tree.extend(weights);
+        for i in 1..tree.len() {
+            let parent = i + (i & i.wrapping_neg());
+            if parent < tree.len() {
+                tree[parent] += tree[i];
+            }
+        }
+        Fenwick { tree }
+    }
+
+    /// Adds `delta` to weight `index` (0-based).
+    fn add(&mut self, index: usize, delta: i64) {
+        let mut i = index + 1;
+        while i < self.tree.len() {
+            self.tree[i] = self.tree[i].wrapping_add_signed(delta);
+            i += i & i.wrapping_neg();
+        }
+    }
+
+    /// The smallest index whose prefix sum of weights exceeds `draw`
+    /// (which must be below the total).
+    fn first_above(&self, mut draw: u64) -> usize {
+        let mut pos = 0;
+        let mut step = (self.tree.len() - 1).checked_ilog2().map_or(0, |b| 1 << b);
+        while step > 0 {
+            let next = pos + step;
+            if next < self.tree.len() && self.tree[next] <= draw {
+                pos = next;
+                draw -= self.tree[next];
+            }
+            step >>= 1;
+        }
+        pos
+    }
 }
 
 #[cfg(test)]
@@ -176,6 +221,73 @@ mod tests {
         (0..len)
             .map(|i| MemRef::read(NodeId::new(node), Addr::new(tag * 4096 + i * 16)))
             .collect()
+    }
+
+    /// The pick as it was first written, a linear scan over the
+    /// remaining cursors: the reference the Fenwick tree must match.
+    fn interleave_by_scan(streams: Vec<ChunkStream>, ctx: &mut GenCtx) -> Trace {
+        let mut cursors: Vec<(std::vec::IntoIter<Chunk>, u64)> = streams
+            .into_iter()
+            .map(|s| {
+                let remaining = s.iter().map(|c| c.len() as u64).sum();
+                (s.into_iter(), remaining)
+            })
+            .filter(|c| c.1 > 0)
+            .collect();
+        let mut total: u64 = cursors.iter().map(|c| c.1).sum();
+        let mut out = Trace::new();
+        while total > 0 {
+            let mut pick = ctx.rng().gen_range(0..total);
+            let mut index = 0;
+            for (i, c) in cursors.iter().enumerate() {
+                if pick < c.1 {
+                    index = i;
+                    break;
+                }
+                pick -= c.1;
+            }
+            let chunk = cursors[index].0.next().unwrap();
+            cursors[index].1 -= chunk.len() as u64;
+            total -= chunk.len() as u64;
+            out.extend(chunk.refs().iter().copied());
+            if cursors[index].1 == 0 {
+                cursors.swap_remove(index);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn fenwick_pick_matches_the_linear_scan() {
+        let mut rng = SplitMix64::new(0x1993);
+        for round in 0..200u64 {
+            // Random stream counts, chunk counts and chunk lengths
+            // (including empty chunks and empty streams), so every
+            // removal position and tree shape is exercised.
+            let streams: Vec<ChunkStream> = (0..rng.gen_range(0..40))
+                .map(|s| {
+                    (0..rng.gen_range(0..6))
+                        .map(|c| chunk(s as u16 % 4, s * 8 + c, rng.gen_range(0..5)))
+                        .collect()
+                })
+                .collect();
+            let fast = interleave_streams(streams.clone(), &mut GenCtx::new(4, round));
+            let scan = interleave_by_scan(streams, &mut GenCtx::new(4, round));
+            assert_eq!(fast, scan, "round {round}");
+        }
+    }
+
+    #[test]
+    fn fenwick_finds_every_weight_boundary() {
+        let weights = [3u64, 0, 1, 5, 0, 0, 2];
+        let tree = Fenwick::new(weights.iter().copied());
+        let mut draw = 0;
+        for (i, &w) in weights.iter().enumerate() {
+            for _ in 0..w {
+                assert_eq!(tree.first_above(draw), i, "draw {draw}");
+                draw += 1;
+            }
+        }
     }
 
     #[test]

@@ -365,3 +365,100 @@ fn telemetry_plane_is_inert_and_observes() {
         );
     }
 }
+
+/// Poisons 8 of 32 blocks and checks that every sweep names the lowest
+/// of them, with the same kind, on freshly built engines of both kinds.
+/// The reference engine's tables iterate in a per-map random order and
+/// the fast engine's slots in first-reference order, so one build of
+/// each proves nothing: the test builds many.
+#[test]
+fn sweeps_name_the_lowest_broken_block_on_every_engine() {
+    use mcc::core::{Monitor, Violation, ViolationKind};
+
+    const BUILDS: usize = 24;
+    // Out of order and out of first-reference order; the lowest is 5.
+    const POISONED: [u64; 8] = [29, 17, 5, 11, 23, 8, 14, 26];
+    let block = |b: u64| Addr::new(b * 16).block(BlockSize::B16);
+    let holders = |b: u64| [b % 4, (b + 1) % 4, (b + 2) % 4].map(|n| NodeId::new(n as u16));
+    // Blocks referenced from high to low; each written by one node and
+    // read by two more, which leaves three clean shared copies.
+    let mut trace = Trace::new();
+    for b in (0..32u64).rev() {
+        let [writer, a, c] = holders(b);
+        trace.push(MemRef::write(writer, Addr::new(b * 16)));
+        trace.push(MemRef::read(a, Addr::new(b * 16)));
+        trace.push(MemRef::read(c, Addr::new(b * 16)));
+    }
+    let built = |kind: EngineKind| {
+        let mut engine = AnyEngine::new(
+            kind,
+            Protocol::Conventional,
+            &config(),
+            PagePlacement::round_robin(NODES),
+        );
+        for r in trace.iter() {
+            engine.try_step(*r).unwrap();
+        }
+        engine
+    };
+    let named = |v: Violation| (v.block, v.kind);
+    let lowest = block(5);
+
+    // A lost write in memory's view: the structural sweep's
+    // stale-memory check fires, and the monitor reports it first.
+    let stale_memory = (
+        lowest,
+        ViolationKind::StaleMemory {
+            memory: 1,
+            latest: 105,
+        },
+    );
+    // A stale resident copy on every holder, worst on the lowest node:
+    // only the monitor's data-value sweep sees it. Holders are poisoned
+    // from the highest node down, so the fast engine, which keeps one
+    // version per block, ends on the lowest node's value too.
+    let lowest_holder = holders(5).iter().map(|n| n.index() as u64).min().unwrap();
+    let stale_copy = (
+        lowest,
+        ViolationKind::StaleRead {
+            observed: 1000 * (lowest_holder + 1) + 5,
+            latest: 1,
+        },
+    );
+    for kind in [EngineKind::Reference, EngineKind::Fast] {
+        for build in 0..BUILDS {
+            let label = format!("{kind:?} build {build}");
+            let mut engine = built(kind);
+            for b in POISONED {
+                engine.poison_latest_version(block(b), 100 + b);
+            }
+            assert_eq!(engine.verify().map_err(named), Err(stale_memory), "{label}");
+            let mut monitor = Monitor::new(1);
+            assert_eq!(
+                monitor.verify(&engine).map_err(named),
+                Err(stale_memory),
+                "{label}"
+            );
+
+            let mut engine = built(kind);
+            for b in POISONED {
+                let mut nodes = holders(b);
+                nodes.sort_unstable_by_key(|n| std::cmp::Reverse(n.index()));
+                for node in nodes {
+                    let version = 1000 * (node.index() as u64 + 1) + b;
+                    assert!(engine.poison_line_version(node, block(b), version));
+                }
+            }
+            assert!(
+                engine.verify().is_ok(),
+                "{label}: the structural sweep saw a copy"
+            );
+            let mut monitor = Monitor::new(1);
+            assert_eq!(
+                monitor.verify(&engine).map_err(named),
+                Err(stale_copy),
+                "{label}"
+            );
+        }
+    }
+}
