@@ -7,9 +7,9 @@
 //! that the engine's observable behaviour is exactly what the
 //! specification demands:
 //!
-//! * **structural** — the engine's own global sweep (single writer /
-//!   multiple readers, directory/cache agreement, dirty bit, memory
-//!   freshness) must pass;
+//! * **structural** — the engine's own invariant sweep
+//!   ([`Engine::sweep`]: single writer / multiple readers,
+//!   directory/cache agreement, dirty bit, memory freshness) must pass;
 //! * **outcome** — the engine resolved the reference the same way the
 //!   specification did (hit kind, migrate vs. replicate, ...);
 //! * **state** — every cache line state and every directory entry
@@ -17,7 +17,8 @@
 //!   evidence counter) matches the specification's record;
 //! * **data values** — the checker counts writes per block itself and
 //!   demands that the engine's version oracle and every resident copy
-//!   agree with that independent count;
+//!   agree with that independent count (the copies in the same sweep,
+//!   as its line check);
 //! * **message accounting** — each step's critical-path charge matches
 //!   the per-class counter deltas and the class charged matches the
 //!   outcome kind; the run total must equal the sum of the steps;
@@ -35,12 +36,13 @@ use std::sync::{Arc, Mutex};
 
 use mcc_cache::CacheConfig;
 use mcc_core::{
-    AnyEngine, CopiesCreated, DirectorySimConfig, Engine, EngineKind, MessageBreakdown,
-    MessageCount, PlacementPolicy, Protocol, SimResult, StepInfo, StepKind,
+    check_version, AnyEngine, CopiesCreated, DirectorySimConfig, Engine, EngineKind,
+    MessageBreakdown, MessageCount, PlacementPolicy, Protocol, SimResult, StepInfo, StepKind,
+    ViolationKind,
 };
 use mcc_obs::{lock_sink, shared, BufferSink, Event, Rule};
 use mcc_placement::PagePlacement;
-use mcc_trace::{BlockSize, MemOp, MemRef};
+use mcc_trace::{BlockAddr, BlockSize, MemOp, MemRef, NodeId};
 
 use crate::spec::{ReferenceModel, SpecReclass};
 
@@ -200,6 +202,9 @@ pub struct Checker {
     promotes: u64,
     demotes: u64,
     steps: u64,
+    /// `(node, block)` pairs resident after the last step: the next
+    /// step's residency before it runs.
+    resident: BTreeSet<(u16, u64)>,
 }
 
 impl Checker {
@@ -237,6 +242,7 @@ impl Checker {
             promotes: 0,
             demotes: 0,
             steps: 0,
+            resident: BTreeSet::new(),
         }
     }
 
@@ -262,6 +268,7 @@ impl Checker {
             promotes: self.promotes,
             demotes: self.demotes,
             steps: self.steps,
+            resident: self.resident.clone(),
         }
     }
 
@@ -301,22 +308,13 @@ impl Checker {
         }
     }
 
-    /// `(node, block)` pairs of all resident lines.
-    fn residency(&self) -> BTreeSet<(u16, u64)> {
-        self.engine
-            .resident_lines()
-            .into_iter()
-            .map(|(n, b, _, _)| (n.index() as u16, b.index()))
-            .collect()
-    }
-
     /// Processes one reference through engine and spec, then checks
     /// the whole invariant suite. On `Err` the checker must be
     /// discarded (the engine is not rolled back).
     pub fn check_step(&mut self, r: MemRef) -> Result<StepInfo, CheckViolation> {
         let block = r.addr.block(CHECK_BLOCK_SIZE).index();
         let pre_entry = self.engine.dir_entry(r.addr.block(CHECK_BLOCK_SIZE));
-        let pre_resident = self.residency();
+        let pre_resident = std::mem::take(&mut self.resident);
         self.steps += 1;
 
         let info = self.engine.try_step(r).map_err(|e| {
@@ -326,18 +324,22 @@ impl Checker {
                 e.to_string(),
             )
         })?;
-        self.engine.verify().map_err(|v| {
-            self.violation(
-                InvariantId::EngineError,
-                Some(v.block.index()),
-                v.to_string(),
-            )
-        })?;
-
+        if r.op == MemOp::Write {
+            *self.writes.entry(block).or_insert(0) += 1;
+        }
+        self.sweep()?;
         self.check_messages(&info, block)?;
-        self.check_data_values(r, block)?;
+        // The engine's version oracle agrees with the write count.
+        let latest = self.engine.latest_version(r.addr.block(CHECK_BLOCK_SIZE));
+        let expected = self.written(block);
+        if latest != expected {
+            let detail = format!("engine oracle at version {latest}, {expected} writes observed");
+            return Err(self.violation(InvariantId::DataValue, Some(block), detail));
+        }
 
-        let post_resident = self.residency();
+        self.resident = (self.engine.resident_lines().into_iter())
+            .map(|(n, b, _, _)| (n.index() as u16, b.index()))
+            .collect();
         let (invalidated, flips) = self.drain_events(&info, block)?;
 
         // Residency diff: copies that vanished without an invalidation
@@ -354,7 +356,7 @@ impl Checker {
         }
         let spec_out = self.spec.step(r);
         let mut expected: Vec<SpecReclass> = spec_out.reclass.clone().into_iter().collect();
-        for &(n, b) in pre_resident.difference(&post_resident) {
+        for &(n, b) in pre_resident.difference(&self.resident) {
             if !invalidated.contains(&(n, b)) {
                 expected.extend(self.spec.drop_copy(n, b));
             }
@@ -442,36 +444,32 @@ impl Checker {
         Ok(())
     }
 
-    /// The data-value oracle: the checker's own write count per block
-    /// is the ground truth; the engine's version table and every
-    /// resident copy must agree with it.
-    fn check_data_values(&mut self, r: MemRef, block: u64) -> Result<(), CheckViolation> {
-        if r.op == MemOp::Write {
-            *self.writes.entry(block).or_insert(0) += 1;
-        }
-        let expected = self.writes.get(&block).copied().unwrap_or(0);
-        let engine_latest = self.engine.latest_version(r.addr.block(CHECK_BLOCK_SIZE));
-        if engine_latest != expected {
-            return Err(self.violation(
-                InvariantId::DataValue,
-                Some(block),
-                format!("engine oracle at version {engine_latest}, {expected} writes observed"),
-            ));
-        }
-        for (node, b, _, version) in self.engine.resident_lines() {
-            let want = self.writes.get(&b.index()).copied().unwrap_or(0);
-            if version != want {
-                return Err(self.violation(
-                    InvariantId::DataValue,
-                    Some(b.index()),
-                    format!(
-                        "node {} holds version {version}, latest write is {want}",
-                        node.index()
-                    ),
-                ));
-            }
-        }
-        Ok(())
+    /// The engine's invariant sweep, with the data-value oracle as its
+    /// line check: the checker's own write count per block is the
+    /// ground truth, and every resident copy must hold it. A broken
+    /// structural invariant is an [`InvariantId::EngineError`], a stale
+    /// copy a [`InvariantId::DataValue`] naming its lowest node.
+    fn sweep(&self) -> Result<(), CheckViolation> {
+        let written = |b: BlockAddr| self.written(b.index());
+        let Err(v) = self
+            .engine
+            .sweep(&mut |b, version, _| check_version(version, written(b), "checker sweep"))
+        else {
+            return Ok(());
+        };
+        let (block, ViolationKind::StaleRead { observed, latest }) = (v.block, v.kind) else {
+            let block = Some(v.block.index());
+            return Err(self.violation(InvariantId::EngineError, block, v.to_string()));
+        };
+        let stale = |n: &u16| self.engine.line_version(NodeId::new(*n), block) == Some(observed);
+        let node = (0..self.nodes).find(stale).unwrap_or_default();
+        let detail = format!("node {node} holds version {observed}, latest write is {latest}");
+        Err(self.violation(InvariantId::DataValue, Some(block.index()), detail))
+    }
+
+    /// Writes the checker has counted to `block`.
+    fn written(&self, block: u64) -> u64 {
+        self.writes.get(&block).copied().unwrap_or(0)
     }
 
     /// Drains this step's events from the tap: exactly one terminal
@@ -658,7 +656,7 @@ impl Checker {
             let spec = self.spec.block(b).expect("iterating known blocks");
             let block = mcc_trace::BlockAddr::new(b);
             for node in 0..self.nodes {
-                let engine_state = self.engine.line_state(mcc_trace::NodeId::new(node), block);
+                let engine_state = self.engine.line_state(NodeId::new(node), block);
                 let spec_state = spec.holders.get(&node).copied();
                 if engine_state != spec_state {
                     return Err(self.violation(

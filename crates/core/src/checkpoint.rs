@@ -37,7 +37,8 @@
 //! different protocol, configuration, fault plan, shard count, or source
 //! with [`SimError::BadCheckpoint`] before any state is rebuilt, and
 //! so does a restore whose engine snapshot no correct engine could have
-//! captured (a directory copy set that disagrees with cache residency).
+//! captured (one the invariant sweep refuses, such as a directory copy
+//! set that disagrees with cache residency).
 //! Corrupt files (truncation, bit flips, wrong magic, older versions —
 //! including version-2 `MCCK` files and the `MCCS` stream snapshots
 //! earlier versions wrote) are rejected with a typed
@@ -423,10 +424,11 @@ impl EngineSnapshot {
     /// # Errors
     ///
     /// [`SimError::BadCheckpoint`] when the snapshot cannot describe an
-    /// engine of this configuration (wrong node count, cache lines no
-    /// correct engine holds — a duplicate, holders of one block that
-    /// disagree, a directory copy set that disagrees with residency —
-    /// lines that do not fit the cache geometry, fault-plan presence
+    /// engine of this configuration (wrong node count, directory rows
+    /// out of block order, a cache line listed twice, rows the
+    /// invariant sweep of [`Engine::sweep`](crate::Engine::sweep)
+    /// refuses or with a copy behind its block's latest write, lines
+    /// that do not fit the cache geometry, fault-plan presence
     /// mismatch).
     pub fn restore(
         &self,

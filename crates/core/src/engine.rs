@@ -20,11 +20,16 @@
 //! step counter, the tallies, the fault injector and the sink, and
 //! carries the one event path and fault-delivery adapter; the
 //! transaction-shape rule and the delivery loop live in
-//! [`faults`](crate::faults). Checkpoints are interchangeable because
-//! both sides convert through the same [`EngineSnapshot`], and both
-//! refuse the same malformed ones at restore.
+//! [`faults`](crate::faults). The coherence invariants are written once
+//! too: each engine only visits its blocks as [`BlockRow`]s
+//! ([`Engine::rows`]), and one provided [`Engine::sweep`] checks them,
+//! for [`Engine::verify`], the [`Monitor`](crate::Monitor), the
+//! `mcc-check` harness and snapshot restore alike. Checkpoints are
+//! interchangeable because both sides convert through the same
+//! [`EngineSnapshot`], and both refuse the same malformed ones at
+//! restore: whatever the sweep refuses in the snapshot's rows.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use mcc_cache::CacheConfig;
 use mcc_obs::{Event as ObsEvent, Rule, SharedSink};
@@ -33,7 +38,7 @@ use mcc_trace::{BlockAddr, BlockSize, MemRef, NodeId};
 
 use crate::checkpoint::EngineSnapshot;
 use crate::directory::{CopySet, DirEntry, Reclassification};
-use crate::error::{SimError, Violation};
+use crate::error::{SimError, Violation, ViolationKind};
 use crate::fast::FastEngine;
 use crate::faults::{FaultInjector, FaultPlan, TransactionShape};
 use crate::msg::MessageCount;
@@ -285,9 +290,9 @@ impl Frame {
     /// Restores a fresh frame to where `snap` left off, its fault
     /// stream resumed under the run's `faults` plan (snapshots exclude
     /// sinks). Refuses a snapshot of another node count, one
-    /// [`check_lines`] refuses, or one whose fault injector is present
-    /// on one side only. Both engines restore through here, so they
-    /// refuse the same snapshots with the same reason.
+    /// [`sweep_snapshot`] refuses, or one whose fault injector is
+    /// present on one side only. Both engines restore through here, so
+    /// they refuse the same snapshots with the same reason.
     pub(crate) fn restore(
         &mut self,
         snap: &EngineSnapshot,
@@ -300,7 +305,7 @@ impl Frame {
                 self.nodes
             ));
         }
-        check_lines(snap)?;
+        sweep_snapshot(snap)?;
         let faults = match (faults, snap.injector_rng) {
             (Some(plan), Some(state)) => Some(FaultInjector::resume(plan, state)),
             (None, None) => None,
@@ -323,60 +328,140 @@ impl Frame {
     }
 }
 
-/// Refuses cache lines no correct engine holds at a record boundary: a
-/// line listed twice, holders of one block that disagree on its version
-/// or are not all `Shared`, and a directory copy set that disagrees with
-/// cache residency (a holder with no line, possibly one outside the
-/// machine, or a line the directory does not know). Directory rows must
-/// ascend by block, as both engines capture them, so a repeated row
-/// cannot slip a second, unchecked copy set past the comparison.
-fn check_lines(snap: &EngineSnapshot) -> Result<(), String> {
+/// Refuses a snapshot no correct engine captures at a record boundary.
+/// First what a row cannot show: directory rows out of ascending block
+/// order (a repeated row could slip a second, unchecked copy set past
+/// the sweep) and a line listed twice. Then whatever the invariant sweep
+/// refuses in the snapshot's rows, with "every resident copy holds its
+/// block's latest version" as the line check.
+fn sweep_snapshot(snap: &EngineSnapshot) -> Result<(), String> {
     if let Some(rows) = snap.dir.windows(2).find(|rows| rows[0].0 >= rows[1].0) {
         let block = BlockAddr::new(rows[1].0);
-        return Err(format!(
-            "snapshot directory rows are out of block order at {block}"
-        ));
+        return Err(format!("snapshot directory out of block order at {block}"));
     }
-    // Per resident block: its holders, and the first holder's line.
-    let mut resident: HashMap<u64, (CopySet, LineState, u64)> = HashMap::new();
-    for (node, lines) in snap.caches.iter().enumerate() {
+    // Each block's directory entry and lines, the lines in node order.
+    let mut rows = BTreeMap::<u64, (Option<&DirEntry>, Vec<(NodeId, LineState, u64)>)>::new();
+    for (block, entry) in &snap.dir {
+        rows.entry(*block).or_default().0 = Some(entry);
+    }
+    for (node, cache) in snap.caches.iter().enumerate() {
         let holder = NodeId::new(node as u16);
-        for &(block, state, version) in lines {
-            let row = resident.entry(block);
-            let (holders, first, first_version) = row.or_insert((CopySet::new(), state, version));
-            let block = BlockAddr::new(block);
-            if holders.contains(holder) {
+        for &(block, state, version) in cache {
+            let (_, held) = rows.entry(block).or_default();
+            if held.last().is_some_and(|&(n, ..)| n == holder) {
+                let block = BlockAddr::new(block);
                 return Err(format!("duplicate cache line for {block} at node {node}"));
             }
-            if !holders.is_empty() {
-                if *first_version != version {
-                    return Err(format!("cache lines for {block} disagree on version"));
-                }
-                if state != LineState::Shared || *first != LineState::Shared {
-                    return Err(format!(
-                        "multiple cache lines for {block} are not all Shared"
-                    ));
-                }
+            held.push((holder, state, version));
+        }
+    }
+    let versions = |rows: &[(u64, u64)]| rows.iter().copied().collect::<HashMap<u64, u64>>();
+    let (memory, latest) = (versions(&snap.mem_version), versions(&snap.latest));
+    sweep_rows(
+        |visit| {
+            for (block, (entry, held)) in rows {
+                visit(BlockRow {
+                    block: BlockAddr::new(block),
+                    entry: entry.map(|e| (&e.copyset, e.dirty)),
+                    lines: &mut held.into_iter(),
+                    memory: memory.get(&block).copied().unwrap_or(0),
+                    latest: latest.get(&block).copied().unwrap_or(0),
+                });
             }
-            holders.insert(holder);
+        },
+        &mut |_, version, latest| check_version(version, latest, "snapshot restore"),
+    )
+    .map_err(|(block, (kind, _))| {
+        let why = match kind {
+            ViolationKind::CopysetMismatch => "directory copyset disagrees with cache residency",
+            ViolationKind::ExclusiveConflict => "multiple cache lines are not all Shared",
+            ViolationKind::DirtyBitMismatch => "directory dirty bit disagrees with its cache lines",
+            ViolationKind::StaleMemory { .. } => "memory is stale while no cache line is dirty",
+            ViolationKind::StaleRead { .. } => "cache lines disagree on version with latest write",
+        };
+        format!("snapshot {why} at {block}")
+    })
+}
+
+/// One known block as the invariant sweep reads it.
+pub struct BlockRow<'a> {
+    /// The block.
+    pub block: BlockAddr,
+    /// The directory's copy set and dirty bit, if the block has an
+    /// entry.
+    pub entry: Option<(&'a CopySet, bool)>,
+    /// The block's resident lines as `(holder, state, version)`, in
+    /// ascending node order.
+    pub lines: &'a mut dyn Iterator<Item = (NodeId, LineState, u64)>,
+    /// The version the block's home memory holds.
+    pub memory: u64,
+    /// The latest version written to the block.
+    pub latest: u64,
+}
+
+/// What a line check finds wrong with one resident line: the kind of
+/// violation, and the context to report it under.
+pub type LineFault = (ViolationKind, &'static str);
+
+/// The line check every judge of resident copies builds on: a copy
+/// `observed` at any version but `latest` is a stale read, reported
+/// under `context`.
+pub fn check_version(observed: u64, latest: u64, context: &'static str) -> Result<(), LineFault> {
+    match observed == latest {
+        true => Ok(()),
+        false => Err((ViolationKind::StaleRead { observed, latest }, context)),
+    }
+}
+
+/// The sweep behind [`Engine::sweep`] and snapshot restore: checks each
+/// row `rows` visits, and fails with the lowest broken block and what
+/// broke there.
+fn sweep_rows(
+    rows: impl FnOnce(&mut dyn FnMut(BlockRow<'_>)),
+    check: &mut dyn FnMut(BlockAddr, u64, u64) -> Result<(), LineFault>,
+) -> Result<(), (BlockAddr, LineFault)> {
+    // Rows come in the engine's own order, so the sweep keeps the lowest
+    // break by block, then check (the four structural checks in order,
+    // then the line check), then node; a clean sweep never compares. A
+    // row's first refused line is its lowest node's. A block whose lines
+    // disagree with the directory may come in more than one row; its
+    // copy-set break then outranks the rest.
+    let mut lowest: Option<(_, LineFault)> = None;
+    rows(&mut |row| {
+        let (mut lines, mut listed, mut shared) = (0, 0, 0);
+        let (mut any_dirty, mut line_fault) = (false, None);
+        for (node, state, version) in row.lines {
+            lines += 1;
+            listed += u64::from(row.entry.is_some_and(|(copyset, _)| copyset.contains(node)));
+            shared += u64::from(state == LineState::Shared);
+            any_dirty |= state.is_dirty();
+            if let Err(fault) = check(row.block, version, row.latest) {
+                line_fault = line_fault.or(Some((node, fault)));
+            }
         }
-    }
-    let disagrees = |block| {
-        format!(
-            "snapshot directory copyset for {} disagrees with cache residency",
-            BlockAddr::new(block)
-        )
-    };
-    for (block, entry) in &snap.dir {
-        let holders = resident.remove(block).map(|(holders, ..)| holders);
-        if holders.unwrap_or_default() != entry.copyset {
-            return Err(disagrees(*block));
+        let (memory, latest) = (row.memory, row.latest);
+        let stale = ViolationKind::StaleMemory { memory, latest };
+        const SWEEP: &str = "invariant sweep";
+        let copies = row.entry.map_or(0, |(copyset, _)| copyset.len());
+        let (rank, node, fault) = if listed != copies || listed != lines {
+            (0, None, (ViolationKind::CopysetMismatch, SWEEP))
+        } else if lines > 1 && shared != lines {
+            (1, None, (ViolationKind::ExclusiveConflict, SWEEP))
+        } else if row.entry.is_some_and(|(_, dirty)| dirty != any_dirty) {
+            (2, None, (ViolationKind::DirtyBitMismatch, SWEEP))
+        } else if !any_dirty && memory != latest {
+            (3, None, (stale, SWEEP))
+        } else if let Some((node, fault)) = line_fault {
+            (4, Some(node), fault)
+        } else {
+            return;
+        };
+        let key = (row.block, rank, node);
+        if lowest.is_none_or(|(k, _)| key < k) {
+            lowest = Some((key, fault));
         }
-    }
-    match resident.keys().min() {
-        Some(&block) => Err(disagrees(block)),
-        None => Ok(()),
-    }
+    });
+    lowest.map_or(Ok(()), |((block, ..), fault)| Err((block, fault)))
 }
 
 /// Which engine implementation a run uses.
@@ -434,14 +519,43 @@ pub trait Engine {
         self.try_step(r).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Sweeps the global invariants linking the directory to the
-    /// caches, reporting the first broken one:
-    /// * a directory copy set disagrees with actual cache residency;
-    /// * a block has an exclusive-state copy alongside other copies
-    ///   (single-writer / multiple-reader);
-    /// * the directory `dirty` bit disagrees with the caches;
-    /// * a clean block's memory version is stale.
-    fn verify(&self) -> Result<(), Violation>;
+    /// Visits every known block (every block with a directory entry or
+    /// a resident line) as a [`BlockRow`], in the engine's own order. A
+    /// block comes in more than one row only when its directory copy
+    /// set omits some of its resident lines.
+    fn rows(&self, visit: &mut dyn FnMut(BlockRow<'_>));
+
+    /// Sweeps every row for the global invariants linking the directory
+    /// to the caches, in this order within a block:
+    /// * the directory copy set agrees with cache residency;
+    /// * no exclusive-state copy has company (single writer / multiple
+    ///   readers);
+    /// * the directory `dirty` bit agrees with the caches;
+    /// * a clean block's memory holds its latest version.
+    ///
+    /// Then passes each resident line to `check` as `(block, version,
+    /// latest)`. Reports the lowest broken block; within it, a broken
+    /// structural invariant before a line `check` refuses, and among
+    /// those the lowest node's. A structural break carries the context
+    /// `"invariant sweep"`, a refused line the context `check` gives. A
+    /// clean sweep pays for no sort, allocation or second pass.
+    fn sweep(
+        &self,
+        check: &mut dyn FnMut(BlockAddr, u64, u64) -> Result<(), LineFault>,
+    ) -> Result<(), Violation> {
+        sweep_rows(|visit| self.rows(visit), check).map_err(|(block, (kind, context))| Violation {
+            block,
+            step: self.steps(),
+            kind,
+            context,
+            entry: self.dir_entry(block),
+        })
+    }
+
+    /// The structural half of [`Engine::sweep`], with no line check.
+    fn verify(&self) -> Result<(), Violation> {
+        self.sweep(&mut |_, _, _| Ok(()))
+    }
 
     /// [`Engine::verify`] for assertion-style tests.
     ///
@@ -450,9 +564,7 @@ pub trait Engine {
     /// Panics with the violation's `Display` form when an invariant is
     /// broken.
     fn check_invariants(&self) {
-        if let Err(v) = self.verify() {
-            panic!("{v}");
-        }
+        self.verify().unwrap_or_else(|v| panic!("{v}"));
     }
 
     /// Message tally so far.
@@ -483,10 +595,13 @@ pub trait Engine {
     /// write-back).
     fn memory_version(&self, block: BlockAddr) -> u64;
 
-    /// Every resident cache line as `(node, block, state, version)`,
-    /// ordered by node; the order within a node is implementation
-    /// defined. Cost is linear in resident lines.
-    fn resident_lines(&self) -> Vec<(NodeId, BlockAddr, LineState, u64)>;
+    /// Every resident cache line as `(node, block, state, version)`:
+    /// every row's lines, in the engine's row order.
+    fn resident_lines(&self) -> Vec<(NodeId, BlockAddr, LineState, u64)> {
+        let mut out = Vec::new();
+        self.rows(&mut |row| out.extend(row.lines.map(|(n, state, v)| (n, row.block, state, v))));
+        out
+    }
 
     /// Attaches (`Some`) or detaches (`None`) the observability sink
     /// in place — used when restoring from a checkpoint, since
@@ -660,8 +775,8 @@ impl Engine for AnyEngine {
         dispatch!(self, e => e.try_step(r))
     }
 
-    fn verify(&self) -> Result<(), Violation> {
-        dispatch!(self, e => e.verify())
+    fn rows(&self, visit: &mut dyn FnMut(BlockRow<'_>)) {
+        dispatch!(self, e => e.rows(visit))
     }
 
     fn messages(&self) -> MessageBreakdown {
@@ -690,10 +805,6 @@ impl Engine for AnyEngine {
 
     fn memory_version(&self, block: BlockAddr) -> u64 {
         dispatch!(self, e => e.memory_version(block))
-    }
-
-    fn resident_lines(&self) -> Vec<(NodeId, BlockAddr, LineState, u64)> {
-        dispatch!(self, e => e.resident_lines())
     }
 
     fn set_sink(&mut self, sink: Option<SharedSink>) {
@@ -756,6 +867,9 @@ mod tests {
         // Nodes 2 and 3 share block 1 (address 16), read-only.
         trace.push(MemRef::read(NodeId::new(2), Addr::new(16)));
         trace.push(MemRef::read(NodeId::new(3), Addr::new(16)));
+        // Node 4 writes block 2 and node 5 reads it: written back, clean.
+        trace.push(MemRef::write(NodeId::new(4), Addr::new(32)));
+        trace.push(MemRef::read(NodeId::new(5), Addr::new(32)));
         for r in trace.iter() {
             engine.step(*r);
         }
@@ -788,6 +902,24 @@ mod tests {
         let mut exclusive = snap.clone();
         exclusive.caches[3][at].1 = LineState::Exclusive;
         cases.push(("not all Shared", exclusive));
+        // Block 0's dirty bit flipped under its one Dirty line.
+        let mut flipped = snap.clone();
+        flipped.dir[0].1.dirty ^= true;
+        cases.push(("dirty bit", flipped));
+        // Block 2's memory a version behind while no line is dirty.
+        let mut stale_memory = snap.clone();
+        let (_, memory) = stale_memory
+            .mem_version
+            .iter_mut()
+            .find(|(b, _)| *b == 2)
+            .unwrap();
+        *memory -= 1;
+        cases.push(("is stale", stale_memory));
+        // Block 0's lone holder a version behind the latest write.
+        let mut behind = snap.clone();
+        let line = behind.caches[1].iter_mut().find(|(b, ..)| *b == 0).unwrap();
+        line.2 -= 1;
+        cases.push(("disagree on version", behind));
         for (why, tampered) in &cases {
             let errors = KINDS.map(|kind| restore(kind, tampered).unwrap_err());
             assert_eq!(errors[0], errors[1]);

@@ -47,7 +47,7 @@ use mcc_trace::{BlockAddr, MemOp, MemRef, NodeId};
 
 use crate::checkpoint::EngineSnapshot;
 use crate::directory::{CopiesCreated, CopySet, DirEntry, ReadMissAction, Reclassification};
-use crate::engine::{Engine, Frame};
+use crate::engine::{BlockRow, Engine, Frame};
 use crate::error::{SimError, Violation, ViolationKind};
 use crate::faults::{FaultPlan, TransactionShape};
 use crate::msg::{charge, OpKind};
@@ -716,41 +716,19 @@ impl Engine for FastEngine {
         Ok(ledger.stepped(block, n, home, kind, before, backoff))
     }
 
-    /// Copyset/residency agreement and the single-writer invariant hold
-    /// by representation (the copyset *is* residency, and multiple
-    /// holders are Shared by construction), so only the dirty-bit and
-    /// memory-freshness checks can fire. Slots sit in first-reference
-    /// order, so the sweep reports the lowest broken block, as the
-    /// reference engine does.
-    fn verify(&self) -> Result<(), Violation> {
-        let mut lowest: Option<(usize, ViolationKind)> = None;
+    /// One row per slot, in first-reference order. The copy set is the
+    /// residency and several holders are `Shared` by representation, so
+    /// every holder's line carries the slot's one state and version.
+    fn rows(&self, visit: &mut dyn FnMut(BlockRow<'_>)) {
         for slot in 0..self.blocks.len() {
-            let holders = &self.copyset[slot];
-            let any_dirty =
-                holders.single().is_some() && self.holder_state(slot) == LineState::Dirty;
-            let kind = if self.dirty_at(slot) != any_dirty {
-                ViolationKind::DirtyBitMismatch
-            } else if !any_dirty && self.mem_version[slot] != self.latest[slot] {
-                ViolationKind::StaleMemory {
-                    memory: self.mem_version[slot],
-                    latest: self.latest[slot],
-                }
-            } else {
-                continue;
-            };
-            if lowest.is_none_or(|(s, _)| self.blocks[slot] < self.blocks[s]) {
-                lowest = Some((slot, kind));
-            }
-        }
-        match lowest {
-            Some((slot, kind)) => Err(Violation {
+            let (state, version) = (self.holder_state(slot), self.line_version[slot]);
+            visit(BlockRow {
                 block: self.blocks[slot],
-                step: self.frame.ledger.steps,
-                kind,
-                context: "invariant sweep",
-                entry: Some(self.entry_at(slot)),
-            }),
-            None => Ok(()),
+                entry: Some((&self.copyset[slot], self.dirty_at(slot))),
+                lines: &mut self.copyset[slot].iter().map(|node| (node, state, version)),
+                memory: self.mem_version[slot],
+                latest: self.latest[slot],
+            });
         }
     }
 
@@ -786,23 +764,6 @@ impl Engine for FastEngine {
 
     fn memory_version(&self, block: BlockAddr) -> u64 {
         self.lookup(block).map_or(0, |slot| self.mem_version[slot])
-    }
-
-    fn resident_lines(&self) -> Vec<(NodeId, BlockAddr, LineState, u64)> {
-        let mut out = Vec::new();
-        for node in NodeId::first(self.frame.nodes) {
-            for slot in 0..self.blocks.len() {
-                if self.copyset[slot].contains(node) {
-                    out.push((
-                        node,
-                        self.blocks[slot],
-                        self.holder_state(slot),
-                        self.line_version[slot],
-                    ));
-                }
-            }
-        }
-        out
     }
 
     fn set_sink(&mut self, sink: Option<SharedSink>) {
@@ -938,6 +899,28 @@ mod tests {
         assert_eq!(restored.snapshot(), snap);
         assert_eq!(restored.steps(), engine.steps());
         assert_eq!(restored.messages(), engine.messages());
+    }
+
+    #[test]
+    fn sweeps_name_the_lowest_block_with_a_flipped_dirty_bit() {
+        // Blocks referenced from high to low, each read by nodes 1 and
+        // 2, so slot order runs against block order.
+        let mut engine = fast(Protocol::Conventional);
+        for b in (0..16u64).rev() {
+            for n in [1u16, 2] {
+                engine.step(MemRef::read(NodeId::new(n), Addr::new(b * 16)));
+            }
+        }
+        // The one structural kind the dense rows can express.
+        for b in [11, 4] {
+            let slot = engine.lookup(BlockAddr::new(b)).unwrap();
+            engine.flags[slot] ^= F_DIRTY;
+        }
+        let named = |v: Violation| (v.block, v.kind);
+        let want = Err((BlockAddr::new(4), ViolationKind::DirtyBitMismatch));
+        assert_eq!(engine.verify().map_err(named), want);
+        let swept = crate::Monitor::new(1).verify(&engine).map_err(named);
+        assert_eq!(swept, want);
     }
 
     #[test]

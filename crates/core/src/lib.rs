@@ -77,7 +77,7 @@ pub use checkpoint::{
     RecoveredCheckpoint, ShardSnapshot, SnapshotGeneration,
 };
 pub use directory::{CopiesCreated, CopySet, DirEntry, ReadMissAction, Reclassification};
-pub use engine::{AnyEngine, Engine, EngineKind};
+pub use engine::{check_version, AnyEngine, BlockRow, Engine, EngineKind, LineFault};
 pub use error::{SimError, Violation, ViolationKind};
 pub use fast::FastEngine;
 pub use faults::{

@@ -1,27 +1,30 @@
 //! Non-panicking invariant monitoring.
 //!
-//! [`Engine::verify`](crate::Engine::verify) sweeps the global
-//! invariants and returns a structured
-//! [`Violation`](crate::Violation) instead of panicking; [`Monitor`]
-//! schedules those sweeps over a long run — checking after every
-//! reference would make simulation quadratic, so the monitor samples at
-//! a fixed period and the caller finishes with one final full sweep.
+//! [`Engine::sweep`](crate::Engine::sweep) checks the global invariants
+//! and returns a structured [`Violation`](crate::Violation) instead of
+//! panicking; [`Monitor`] schedules those sweeps over a long run —
+//! checking after every reference would make simulation quadratic, so
+//! the monitor samples at a fixed period and the caller finishes with
+//! one final full sweep.
 //!
-//! On top of the engine's structural sweep, the monitor adds a
-//! *data-value* check: it version-tags every block it has seen and
-//! verifies, on each sweep, that every resident copy holds the latest
-//! written version (a stale copy would let a future read observe old
-//! data) and that no block's latest version ever regresses (a lost
-//! write). The engine's own checker asserts freshness only at the
-//! moment a copy is read or served; the monitor's sweep catches a
-//! stale copy *while it sits in a cache*, before anything touches it.
+//! Each sweep is one pass over the engine's block rows. The sweep checks
+//! each row's structural invariants, and the monitor supplies its line
+//! check, a *data-value* check: every resident copy must hold the latest
+//! written version of its block (a stale copy would let a future read
+//! observe old data), and no block's latest version may fall below what
+//! an earlier sweep saw (a lost write). The engine's own checker asserts
+//! freshness only at the moment a copy is read or served; the monitor's
+//! sweep catches a stale copy *while it sits in a cache*, before
+//! anything touches it. The high-water table is keyed by block: the
+//! block is the one key both engines' rows carry, since only the fast
+//! engine has slots.
 
 use std::collections::HashMap;
 
 use mcc_trace::BlockAddr;
 
-use crate::engine::Engine;
-use crate::error::{Violation, ViolationKind};
+use crate::engine::{check_version, Engine};
+use crate::error::Violation;
 
 /// Periodically verifies an [`Engine`]'s global invariants (either the
 /// reference [`DirectoryEngine`](crate::DirectoryEngine) or the fast
@@ -85,64 +88,28 @@ impl Monitor {
     /// Sweeps the engine's invariants when its step counter crosses the
     /// sampling period; cheap no-op otherwise.
     pub fn after_step<E: Engine>(&mut self, engine: &E) -> Result<(), Violation> {
-        if engine.steps().is_multiple_of(self.every) {
-            self.checks_run += 1;
-            self.sweep(engine)
-        } else {
-            Ok(())
+        match engine.steps().is_multiple_of(self.every) {
+            true => self.verify(engine),
+            false => Ok(()),
         }
     }
 
     /// One full sweep, on demand: the engine's structural invariants
-    /// ([`Engine::verify`]), then the monitor's data-value checks —
-    /// every resident copy must carry the latest written version of its
-    /// block, and no block's latest version may be lower than an
-    /// earlier sweep observed.
+    /// ([`Engine::verify`]) and the monitor's data-value checks, in one
+    /// [`Engine::sweep`]. Every resident copy must carry the latest
+    /// written version of its block, and no block's latest version may
+    /// be lower than an earlier sweep observed.
     pub fn verify<E: Engine>(&mut self, engine: &E) -> Result<(), Violation> {
         self.checks_run += 1;
-        self.sweep(engine)
-    }
-
-    /// Lines come in the engine's own order, so the sweep reports the
-    /// lowest broken block and, within it, the lowest node; a clean
-    /// sweep never compares.
-    fn sweep<E: Engine>(&mut self, engine: &E) -> Result<(), Violation> {
-        engine.verify()?;
-        let mut lowest = None;
-        for (node, block, _, version) in engine.resident_lines() {
-            let latest = engine.latest_version(block);
-            let broken = if version != latest {
-                let kind = ViolationKind::StaleRead {
-                    observed: version,
-                    latest,
-                };
-                (kind, "monitor data-value sweep")
-            } else {
-                let seen = self.high_water.entry(block).or_insert(0);
-                if latest >= *seen {
-                    *seen = latest;
-                    continue;
-                }
-                let kind = ViolationKind::StaleRead {
-                    observed: latest,
-                    latest: *seen,
-                };
-                (kind, "monitor version regression")
-            };
-            if lowest.is_none_or(|(b, n, _)| (block, node) < (b, n)) {
-                lowest = Some((block, node, broken));
-            }
-        }
-        match lowest {
-            Some((block, _, (kind, context))) => Err(Violation {
-                block,
-                step: engine.steps(),
-                kind,
-                context,
-                entry: engine.dir_entry(block),
-            }),
-            None => Ok(()),
-        }
+        let high_water = &mut self.high_water;
+        engine.sweep(&mut |block, version, latest| {
+            check_version(version, latest, "monitor data-value sweep")?;
+            // A latest version below an earlier sweep's is a lost write.
+            let seen = high_water.entry(block).or_insert(0);
+            check_version(latest, latest.max(*seen), "monitor version regression")?;
+            *seen = latest;
+            Ok(())
+        })
     }
 
     /// Number of full invariant sweeps performed so far.
@@ -154,6 +121,7 @@ impl Monitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::ViolationKind;
     use crate::policy::Protocol;
     use crate::sim::{DirectoryEngine, DirectorySimConfig};
     use mcc_placement::PagePlacement;

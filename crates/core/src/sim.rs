@@ -14,7 +14,6 @@
 //! the paper's transparency claim — the adaptive protocols preserve the
 //! standard memory model.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 
 use mcc_cache::{Cache, CacheConfig};
@@ -24,7 +23,7 @@ use mcc_trace::{BlockAddr, BlockSize, MemOp, MemRef, NodeId, Trace};
 
 use crate::checkpoint::EngineSnapshot;
 use crate::directory::{CopySet, DirEntry, ReadMissAction, Reclassification};
-use crate::engine::{Engine, EngineKind, Frame};
+use crate::engine::{BlockRow, Engine, EngineKind, Frame};
 use crate::error::{SimError, Violation, ViolationKind};
 use crate::faults::{FaultInjector, FaultPlan, TransactionShape};
 use crate::msg::{charge, charge_eviction, MessageCount, OpKind};
@@ -109,16 +108,6 @@ impl LineState {
 struct Line {
     state: LineState,
     version: u64,
-}
-
-/// Per-block residency accumulator for the reference engine's
-/// [`Engine::verify`] sweep.
-#[derive(Clone, Debug, Default)]
-struct Residency {
-    holders: CopySet,
-    exclusive: u32,
-    shared: u32,
-    any_dirty: bool,
 }
 
 /// How one reference was resolved by the protocol.
@@ -336,12 +325,6 @@ pub struct DirectoryEngine {
     mem_version: HashMap<BlockAddr, u64>,
     /// Latest version written anywhere, per block (the checker's truth).
     latest: HashMap<BlockAddr, u64>,
-    /// Scratch table reused by [`Engine::verify`]'s residency sweep:
-    /// cleared (capacity retained) on each call so repeated monitor
-    /// sweeps don't reallocate. `RefCell` because `verify` takes
-    /// `&self`; engines cross threads by move, never by sharing, so
-    /// interior mutability is safe here.
-    verify_scratch: RefCell<HashMap<BlockAddr, Residency>>,
 }
 
 impl DirectoryEngine {
@@ -353,7 +336,6 @@ impl DirectoryEngine {
             dir: HashMap::new(),
             mem_version: HashMap::new(),
             latest: HashMap::new(),
-            verify_scratch: RefCell::new(HashMap::new()),
         }
     }
 
@@ -876,68 +858,43 @@ impl Engine for DirectoryEngine {
         Ok(ledger.stepped(block, r.node, home, kind, before, backoff))
     }
 
-    fn verify(&self) -> Result<(), Violation> {
-        // One pass over the resident lines, then one pass over the
-        // directory: O(lines + entries) rather than O(entries × nodes),
-        // which matters because the monitor sweeps repeatedly over
-        // long runs. The residency table is a reused scratch allocation
-        // (cleared, capacity kept) for the same reason.
-        let mut residency = self.verify_scratch.borrow_mut();
-        residency.clear();
+    /// One walk of the directory that looks up each holder's line in
+    /// its node's cache. Only when the walk met fewer lines than the
+    /// caches hold are the caches walked too, for the lines at nodes
+    /// their block's copy set omits: each comes in a row of its own,
+    /// which the sweep reports as a copy-set mismatch.
+    fn rows(&self, visit: &mut dyn FnMut(BlockRow<'_>)) {
+        let mut met = 0;
+        for (&block, entry) in &self.dir {
+            let mut lines = entry.copyset.iter().filter_map(|node| {
+                let line = self.caches[node.index()].get(block)?;
+                met += 1;
+                Some((node, line.state, line.version))
+            });
+            visit(BlockRow {
+                block,
+                entry: Some((&entry.copyset, entry.dirty)),
+                lines: &mut lines,
+                memory: self.memory_version(block),
+                latest: self.latest_version(block),
+            });
+        }
+        if met == self.caches.iter().map(Cache::len).sum::<usize>() {
+            return;
+        }
         for node in NodeId::first(self.frame.nodes) {
             for (block, line) in self.caches[node.index()].iter() {
-                let r = residency.entry(block).or_default();
-                r.holders.insert(node);
-                match line.state {
-                    LineState::Shared => r.shared += 1,
-                    LineState::Exclusive | LineState::MigratoryClean => r.exclusive += 1,
-                    LineState::Dirty => {
-                        r.exclusive += 1;
-                        r.any_dirty = true;
-                    }
+                let entry = self.dir.get(&block);
+                if !entry.is_some_and(|e| e.copyset.contains(node)) {
+                    visit(BlockRow {
+                        block,
+                        entry: entry.map(|e| (&e.copyset, e.dirty)),
+                        lines: &mut std::iter::once((node, line.state, line.version)),
+                        memory: self.memory_version(block),
+                        latest: self.latest_version(block),
+                    });
                 }
             }
-        }
-        // Both tables iterate in a per-map random order, so the sweep
-        // reports the lowest broken block, not the first one it meets;
-        // a clean sweep never compares.
-        let mut lowest: Option<(BlockAddr, ViolationKind)> = None;
-        let mut broken = |block: BlockAddr, kind| {
-            if lowest.is_none_or(|(b, _)| block < b) {
-                lowest = Some((block, kind));
-            }
-        };
-        // A resident block with no directory entry is a copyset
-        // mismatch the entry-driven loop below would never visit.
-        for &block in residency.keys() {
-            if !self.dir.contains_key(&block) {
-                broken(block, ViolationKind::CopysetMismatch);
-            }
-        }
-        for (&block, entry) in &self.dir {
-            let empty = Residency::default();
-            let r = residency.get(&block).unwrap_or(&empty);
-            let (holders, exclusive, shared, any_dirty) =
-                (&r.holders, r.exclusive, r.shared, r.any_dirty);
-            let kind = if entry.copyset != *holders {
-                ViolationKind::CopysetMismatch
-            } else if !(exclusive == 0 || (exclusive == 1 && shared == 0)) {
-                ViolationKind::ExclusiveConflict
-            } else if entry.dirty != any_dirty {
-                ViolationKind::DirtyBitMismatch
-            } else if !any_dirty && self.memory_version(block) != self.latest_version(block) {
-                ViolationKind::StaleMemory {
-                    memory: self.memory_version(block),
-                    latest: self.latest_version(block),
-                }
-            } else {
-                continue;
-            };
-            broken(block, kind);
-        }
-        match lowest {
-            Some((block, kind)) => Err(self.violation(block, kind, "invariant sweep")),
-            None => Ok(()),
         }
     }
 
@@ -967,17 +924,6 @@ impl Engine for DirectoryEngine {
 
     fn memory_version(&self, block: BlockAddr) -> u64 {
         self.mem_version.get(&block).copied().unwrap_or(0)
-    }
-
-    /// Within a node, lines come in the cache's internal order.
-    fn resident_lines(&self) -> Vec<(NodeId, BlockAddr, LineState, u64)> {
-        let mut out = Vec::new();
-        for node in NodeId::first(self.frame.nodes) {
-            for (block, line) in self.caches[node.index()].iter() {
-                out.push((node, block, line.state, line.version));
-            }
-        }
-        out
     }
 
     fn set_sink(&mut self, sink: Option<SharedSink>) {
@@ -1246,6 +1192,51 @@ mod tests {
         let r = DirectorySim::new(Protocol::Conventional, &cfg).run(&t);
         assert_eq!(r.events.writebacks, 1);
         assert_eq!(r.messages.eviction.data, 1);
+    }
+
+    /// Sixteen blocks, each read by nodes 1 and 2: two `Shared` holders
+    /// and a clean directory entry per block.
+    fn shared_blocks() -> DirectoryEngine {
+        let mut e = rr_engine(Protocol::Conventional, &config());
+        for b in 0..16u64 {
+            for n in [1u16, 2] {
+                e.step(MemRef::read(NodeId::new(n), Addr::new(b * 16)));
+            }
+        }
+        e
+    }
+
+    #[test]
+    fn sweeps_name_the_lowest_block_of_each_structural_kind() {
+        type Plant = fn(&mut DirectoryEngine, BlockAddr);
+        let plants: [(ViolationKind, Plant); 3] = [
+            // A holder's line goes while the copy set keeps it.
+            (ViolationKind::CopysetMismatch, |e, b| {
+                e.caches[2].remove(b).unwrap();
+            }),
+            // One of two Shared holders turns Exclusive.
+            (ViolationKind::ExclusiveConflict, |e, b| {
+                e.caches[1].get_mut(b).unwrap().state = LineState::Exclusive;
+            }),
+            (ViolationKind::DirtyBitMismatch, |e, b| {
+                e.dir.get_mut(&b).unwrap().dirty ^= true;
+            }),
+        ];
+        let named = |v: Violation| (v.block, v.kind);
+        for (kind, plant) in plants {
+            // Each build hashes its tables anew, so the sweep meets the
+            // two planted blocks in varying order.
+            for build in 0..8 {
+                let mut e = shared_blocks();
+                for b in [11, 4] {
+                    plant(&mut e, BlockAddr::new(b));
+                }
+                let want = Err((BlockAddr::new(4), kind));
+                assert_eq!(e.verify().map_err(named), want, "{kind:?} build {build}");
+                let swept = crate::Monitor::new(1).verify(&e).map_err(named);
+                assert_eq!(swept, want, "{kind:?} build {build}");
+            }
+        }
     }
 
     #[test]

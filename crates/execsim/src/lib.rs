@@ -671,8 +671,9 @@ impl ExecSim {
             }
         }
 
-        if monitor.is_some() {
-            engine.verify()?;
+        match monitor.as_mut() {
+            Some(m) => m.verify(&engine)?,
+            None => engine.verify()?,
         }
         let checkpoint = if policy.is_some() || suspend_after.is_some() {
             let ck = self.capture(

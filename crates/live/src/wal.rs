@@ -47,7 +47,7 @@
 //! bytes after the snapshot was cut), is rejected in favour of the
 //! previous generation or a full-log replay.
 
-use std::io::{self, Read};
+use std::io;
 use std::path::Path;
 use std::time::Instant;
 
@@ -397,22 +397,12 @@ pub fn save_snapshot<S: Storage + ?Sized>(
 }
 
 fn decode_snapshot(bytes: &[u8]) -> Option<(EngineSnapshot, usize)> {
-    let payload = read_envelope(&mut ReadSlice(bytes), SHARD_SNAPSHOT_MAGIC).ok()?;
+    let payload = read_envelope(&mut &bytes[..], SHARD_SNAPSHOT_MAGIC).ok()?;
     let mut r = PayloadReader::new(&payload);
     let covered = r.u64().ok()? as usize;
     let snapshot = EngineSnapshot::decode(&mut r).ok()?;
     r.finish().ok()?;
     Some((snapshot, covered))
-}
-
-/// `&[u8]` reader without consuming the slice binding (read_envelope
-/// wants `&mut R: Read`).
-struct ReadSlice<'a>(&'a [u8]);
-
-impl Read for ReadSlice<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        self.0.read(buf)
-    }
 }
 
 /// Loads the best usable snapshot for a shard: the current generation

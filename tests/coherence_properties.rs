@@ -5,8 +5,9 @@
 //! version; every read (hit or fill) asserts it observes the latest
 //! version. Running arbitrary traces through every protocol therefore
 //! machine-checks the paper's transparency claim — adaptivity must not
-//! change the memory model. The directory engine additionally exposes
-//! `check_invariants` tying the directory to the caches.
+//! change the memory model. The directory engines additionally sweep
+//! the invariants tying the directory to the caches, and the monitor
+//! runs that sweep after every step.
 //!
 //! Cases are driven by an explicitly seeded [`SplitMix64`] stream so
 //! every failure is reproducible from the case index alone.
@@ -14,7 +15,9 @@
 use mcc_prng::SplitMix64;
 
 use mcc::cache::{CacheConfig, CacheGeometry};
-use mcc::core::{DirectoryEngine, DirectorySimConfig, Engine, PlacementPolicy, Protocol};
+use mcc::core::{
+    AnyEngine, DirectorySimConfig, Engine, EngineKind, Monitor, PlacementPolicy, Protocol,
+};
 use mcc::placement::PagePlacement;
 use mcc::snoop::{BusSim, BusSimConfig, SnoopProtocol};
 use mcc::trace::BlockSize;
@@ -62,7 +65,9 @@ fn all_protocols() -> Vec<Protocol> {
 
 /// Every directory protocol preserves coherence (the engine panics on
 /// violation) and keeps its directory in sync with the caches, with
-/// both infinite and tiny conflict-heavy caches.
+/// both infinite and tiny conflict-heavy caches, on both engines. The
+/// monitor sweeps after every step, so its structural and data-value
+/// checks meet every protocol point in every state a trace reaches.
 #[test]
 fn directory_protocols_preserve_coherence() {
     for case in 0..CASES {
@@ -77,12 +82,18 @@ fn directory_protocols_preserve_coherence() {
                     placement: PlacementPolicy::RoundRobin,
                     ..DirectorySimConfig::default()
                 };
-                let placement = PagePlacement::round_robin(NODES);
-                let mut engine = DirectoryEngine::new(protocol, &config, placement);
-                for r in trace.iter() {
-                    engine.step(*r);
+                for kind in [EngineKind::Reference, EngineKind::Fast] {
+                    let placement = PagePlacement::round_robin(NODES);
+                    let mut engine = AnyEngine::new(kind, protocol, &config, placement);
+                    let mut monitor = Monitor::new(1);
+                    for r in trace.iter() {
+                        engine.step(*r);
+                        if let Err(v) = monitor.after_step(&engine) {
+                            panic!("case {case}, {protocol}, {kind:?}: {v}");
+                        }
+                    }
+                    engine.check_invariants();
                 }
-                engine.check_invariants();
             }
         }
     }
