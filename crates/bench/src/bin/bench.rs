@@ -33,11 +33,11 @@ use std::process::exit;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use mcc_bench::args::Flags;
-use mcc_bench::timing::{measure, measure_cpu_block, measure_detailed, thread_cpu_secs};
-use mcc_core::{
-    AnyEngine, DirectorySim, DirectorySimConfig, Engine, EngineKind, Protocol, RunSpec, SimResult,
+use mcc_bench::timing::{
+    measure, measure_cpu_block, measure_detailed, resident_memory, run_sharded, thread_cpu_secs,
 };
-use mcc_obs::{shared, Json, NullSink, Telemetry, TelemetrySink, DEFAULT_PUBLISH_EVERY};
+use mcc_core::{AnyEngine, DirectorySim, DirectorySimConfig, Engine, EngineKind, Protocol};
+use mcc_obs::{shared, Json, NullSink, Telemetry, TelemetrySink};
 use mcc_placement::PagePlacement;
 use mcc_trace::Trace;
 use mcc_workloads::{
@@ -150,23 +150,6 @@ fn mixed_trace(args: &Args) -> Trace {
         .streams(&mut ctx),
     );
     interleave_streams(streams, &mut ctx)
-}
-
-/// Resident-set figures from `/proc/self/status`, in bytes:
-/// `(current VmRSS, peak VmHWM)`. Zeros on platforms without procfs.
-fn resident_memory() -> (u64, u64) {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return (0, 0);
-    };
-    let field = |name: &str| -> u64 {
-        status
-            .lines()
-            .find(|l| l.starts_with(name))
-            .and_then(|l| l.split_whitespace().nth(1))
-            .and_then(|kb| kb.parse::<u64>().ok())
-            .map_or(0, |kb| kb * 1024)
-    };
-    (field("VmRSS:"), field("VmHWM:"))
 }
 
 struct Row {
@@ -313,7 +296,7 @@ fn tracing_overhead(trace: &Trace, args: &Args) -> (u64, u64, f64) {
     };
     let plane = Telemetry::new();
     let want = run_with(shared(NullSink).1);
-    let got = run_with(shared(TelemetrySink::new(&plane, DEFAULT_PUBLISH_EVERY)).1);
+    let got = run_with(shared(TelemetrySink::new(&plane)).1);
     assert_eq!(
         want, got,
         "telemetry sink changed the simulation; refusing to time a non-inert tracer"
@@ -336,7 +319,7 @@ fn tracing_overhead(trace: &Trace, args: &Args) -> (u64, u64, f64) {
     let mut traced_secs = f64::INFINITY;
     for _ in 0..samples {
         let null_run = || run_with(shared(NullSink).1);
-        let traced_run = || run_with(shared(TelemetrySink::new(&plane, DEFAULT_PUBLISH_EVERY)).1);
+        let traced_run = || run_with(shared(TelemetrySink::new(&plane)).1);
         let null = measure_cpu_block(GATE_CPU_BLOCK_SECS, null_run)
             .unwrap_or_else(|| measure_detailed(1, null_run).wall_min);
         let traced = measure_cpu_block(GATE_CPU_BLOCK_SECS, traced_run)
@@ -788,16 +771,4 @@ fn parse_args() -> Args {
         }
     }
     args
-}
-
-/// A `shards`-way run through the executor, panicking on failure like
-/// [`DirectorySim::run`].
-fn run_sharded(sim: &DirectorySim, trace: &Trace, shards: usize) -> SimResult {
-    let spec = RunSpec {
-        shards,
-        ..RunSpec::default()
-    };
-    sim.execute(trace, &spec)
-        .and_then(|report| report.merged())
-        .unwrap_or_else(|e| panic!("{e}"))
 }

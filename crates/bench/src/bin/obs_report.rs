@@ -1,8 +1,10 @@
 //! Renders the observability artifacts of a run — the metrics JSON
 //! written by `--metrics-out` and/or the event JSONL written by
 //! `--events-out` — into human-readable summary tables: overall
-//! totals, per-interval traffic and classification-flip deltas, the
-//! messages-per-reference histogram, and per-event-type counts.
+//! totals, per-interval traffic and classification-flip deltas, and
+//! the messages-per-reference histogram. An event stream is rendered
+//! as the totals the metrics recorder folds it into, so both
+//! artifacts read in one vocabulary.
 //!
 //! Doubles as the CI validator: every JSONL line must parse back into
 //! an event and the metrics JSON must round-trip through the registry
@@ -33,7 +35,7 @@ use std::process::exit;
 use mcc_bench::args::Flags;
 use mcc_live::{JournalReplay, VerifyOutcome};
 use mcc_obs::metrics::names;
-use mcc_obs::{Event, Json, Log2Histogram, Registry};
+use mcc_obs::{Event, Json, Log2Histogram, MetricsRecorder, Registry, DEFAULT_INTERVAL};
 use mcc_stats::Table;
 use mcc_trace::Trace;
 
@@ -106,9 +108,7 @@ fn report_metrics(path: &Path) {
     }
 
     println!("== metrics: {} ==\n", path.display());
-    let mut totals = registry.totals_table();
-    totals.title("Totals");
-    println!("{}", totals.to_text());
+    print_totals(&registry);
 
     let intervals = registry.intervals_table(&INTERVAL_COLUMNS);
     if !registry.intervals().is_empty() {
@@ -137,44 +137,23 @@ fn histogram_table(name: &str, hist: &Log2Histogram) -> Table {
 }
 
 /// Parses every JSONL line (exiting non-zero on the first bad one) and
-/// renders per-event-type counts plus promote/demote rule breakdowns.
+/// renders the totals a metrics recorder folds them into: the table
+/// `--metrics` prints, per-kind and per-rule breakdowns included.
 fn report_events(path: &Path) {
     let events = read_events(path);
-    let mut by_label: Vec<(&'static str, u64)> = Vec::new();
-    let mut rules: Vec<(String, u64)> = Vec::new();
-    for event in &events {
-        bump(&mut by_label, event.label());
-        match event {
-            Event::Promote { rule, .. } => {
-                bump_string(&mut rules, format!("promote via {}", rule.label()));
-            }
-            Event::Demote { rule, .. } => {
-                bump_string(&mut rules, format!("demote via {}", rule.label()));
-            }
-            _ => {}
-        }
-    }
-
     println!(
         "== events: {} ({} lines, all parsed) ==\n",
         path.display(),
         events.len()
     );
-    let mut table = Table::new(["event", "count"]);
-    table.title("Event counts");
-    for (label, count) in &by_label {
-        table.row([(*label).to_string(), count.to_string()]);
-    }
-    println!("{}", table.to_text());
+    print_totals(&MetricsRecorder::replay(&events, DEFAULT_INTERVAL));
+}
 
-    if !rules.is_empty() {
-        let mut table = Table::new(["classification flip", "count"]);
-        table.title("Detection-rule breakdown (DESIGN.md §10 maps rules to the paper)");
-        for (label, count) in &rules {
-            table.row([label.clone(), count.to_string()]);
-        }
-        println!("{}", table.to_text());
-    }
+/// Prints a registry's counters and gauges as one table.
+fn print_totals(registry: &Registry) {
+    let mut totals = registry.totals_table();
+    totals.title("Totals");
+    println!("{}", totals.to_text());
 }
 
 /// Validates a `modelcheck` JSON summary (parse + shape + zero
@@ -500,20 +479,6 @@ fn report_telemetry(path: &Path) {
     );
 }
 
-fn bump(counts: &mut Vec<(&'static str, u64)>, label: &'static str) {
-    match counts.iter_mut().find(|(l, _)| *l == label) {
-        Some((_, n)) => *n += 1,
-        None => counts.push((label, 1)),
-    }
-}
-
-fn bump_string(counts: &mut Vec<(String, u64)>, label: String) {
-    match counts.iter_mut().find(|(l, _)| *l == label) {
-        Some((_, n)) => *n += 1,
-        None => counts.push((label, 1)),
-    }
-}
-
 /// Every event of a JSONL file; exits non-zero on the first line that
 /// does not parse.
 fn read_events(path: &Path) -> Vec<Event> {
@@ -657,7 +622,8 @@ fn parse_args() -> Args {
                      \n                     (parse + round-trip) and rendered as totals,\
                      \n                     per-interval deltas, and histograms\
                      \n  --events FILE      event JSONL written by a --events-out run; every line\
-                     \n                     is parsed (non-zero exit on failure), counted by type\
+                     \n                     is parsed (non-zero exit on failure) and the stream's\
+                     \n                     metric totals are rendered\
                      \n  --modelcheck FILE  JSON summary printed by the modelcheck binary;\
                      \n                     validated (parse + shape + zero violations outside\
                      \n                     --planted-bug fixture runs) and rendered\

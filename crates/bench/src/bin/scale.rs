@@ -24,6 +24,7 @@ use std::process::exit;
 use std::time::Instant;
 
 use mcc_bench::args::Flags;
+use mcc_bench::timing::resident_memory;
 use mcc_check::{parse_directory_repr, parse_protocol};
 use mcc_core::{
     DirectoryRepr, DirectorySim, DirectorySimConfig, EngineKind, PlacementPolicy, Protocol, RunSpec,
@@ -90,23 +91,6 @@ fn scale_record(i: u64, nodes: u64) -> MemRef {
             }
         }
     }
-}
-
-/// Resident-set figures from `/proc/self/status`, in bytes:
-/// `(current VmRSS, peak VmHWM)`. Zeros on platforms without procfs.
-fn resident_memory() -> (u64, u64) {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return (0, 0);
-    };
-    let field = |name: &str| -> u64 {
-        status
-            .lines()
-            .find(|l| l.starts_with(name))
-            .and_then(|l| l.split_whitespace().nth(1))
-            .and_then(|kb| kb.parse::<u64>().ok())
-            .map_or(0, |kb| kb * 1024)
-    };
-    (field("VmRSS:"), field("VmHWM:"))
 }
 
 struct Args {

@@ -14,8 +14,9 @@
 //! and one thread per shard; the K=1 row pays neither, since a 1-shard
 //! run replays the caller's trace on the calling thread.
 
-use mcc_bench::{timing::measure, Scenario};
-use mcc_core::{DirectorySim, DirectorySimConfig, Protocol, RunSpec, SimResult};
+use mcc_bench::timing::{measure, run_sharded};
+use mcc_bench::Scenario;
+use mcc_core::{DirectorySim, DirectorySimConfig, Protocol};
 use mcc_stats::{speedup, BarChart, Table};
 use mcc_trace::Trace;
 use mcc_workloads::{interleave_streams, GenCtx, MigratoryObjects, Region};
@@ -92,16 +93,4 @@ fn main() {
     }
     println!("{table}");
     println!("{chart}");
-}
-
-/// A `shards`-way run through the executor, panicking on failure like
-/// [`DirectorySim::run`].
-fn run_sharded(sim: &DirectorySim, trace: &Trace, shards: usize) -> SimResult {
-    let spec = RunSpec {
-        shards,
-        ..RunSpec::default()
-    };
-    sim.execute(trace, &spec)
-        .and_then(|report| report.merged())
-        .unwrap_or_else(|e| panic!("{e}"))
 }

@@ -10,7 +10,12 @@
 //! conventional mp3d
 //! aggressive water
 //! basic cholesky 20000
+//! custom=0,3,1,0 water
 //! ```
+//!
+//! A protocol is named as `modelcheck --protocol` takes it: one of the
+//! five named protocols, or a custom point as `custom=i,e,r,d` or its
+//! `custom-i*-e*-r*-d*` slug.
 //!
 //! For each cell the supervisor keeps two files in the state directory:
 //! `<cell>.ckpt`, the crash-safe in-flight snapshot (rewritten every
@@ -31,6 +36,7 @@ use std::time::Duration;
 
 use mcc_bench::args::Flags;
 use mcc_bench::{try_run_protocol_traced, ObsOptions, RunOptions};
+use mcc_check::{parse_protocol, protocol_slug};
 use mcc_core::checkpoint::{commit_tmp, stage_tmp};
 use mcc_core::{
     CheckpointPolicy, DirectorySimConfig, FaultPlan, Protocol, RealStorage, SimError, SimResult,
@@ -117,11 +123,12 @@ struct Cell {
 }
 
 impl Cell {
-    /// Stable per-cell file stem: `basic-mp3d` or `basic-mp3d-f20000`.
+    /// Stable per-cell file stem: `basic-mp3d`, `basic-mp3d-f20000` or
+    /// `custom-i0-e3-r1-d0-mp3d`.
     fn key(&self) -> String {
         let mut key = format!(
             "{}-{}",
-            self.protocol,
+            protocol_slug(self.protocol),
             self.workload.name().to_lowercase().replace(' ', "-")
         );
         if self.fault_ppm > 0 {
@@ -302,7 +309,7 @@ fn write_result(
     let c = result.message_count();
     let recovered_from = recovered_from.map_or_else(|| "fresh".to_string(), |g| g.to_string());
     let body = kv_lines([
-        ("protocol", cell.protocol.to_string()),
+        ("protocol", protocol_slug(cell.protocol)),
         ("workload", cell.workload.name().to_string()),
         ("fault_ppm", cell.fault_ppm.to_string()),
         ("references", result.events.refs().to_string()),
@@ -336,10 +343,8 @@ fn parse_manifest(path: &Path) -> Vec<Cell> {
             );
             exit(2);
         };
-        let protocol = match fields.next().map(parse_protocol) {
-            Some(Some(p)) => p,
-            _ => bad("unknown protocol"),
-        };
+        let protocol =
+            parse_protocol(fields.next().unwrap_or_default()).unwrap_or_else(|e| bad(&e));
         let workload = match fields.next().map(str::parse::<Workload>) {
             Some(Ok(w)) => w,
             _ => bad("unknown workload"),
@@ -361,18 +366,6 @@ fn parse_manifest(path: &Path) -> Vec<Cell> {
         });
     }
     cells
-}
-
-/// The protocol names [`Protocol`]'s `Display` prints.
-fn parse_protocol(name: &str) -> Option<Protocol> {
-    match name {
-        "conventional" => Some(Protocol::Conventional),
-        "conservative" => Some(Protocol::Conservative),
-        "basic" => Some(Protocol::Basic),
-        "aggressive" => Some(Protocol::Aggressive),
-        "pure-migratory" => Some(Protocol::PureMigratory),
-        _ => None,
-    }
 }
 
 fn parse_args() -> Args {
@@ -406,6 +399,7 @@ fn parse_args() -> Args {
                      [--seed N] [--shards K] [--checkpoint-every N] [--events-ring K] [--obs] \
                      [--telemetry ADDR]\n\
                      \n  --manifest FILE       sweep cells, one '<protocol> <workload> [fault_ppm]' per line\
+                     \n                        (protocol: a named one, custom=i,e,r,d or its slug)\
                      \n  --state DIR           where per-cell .ckpt/.result files live\
                      \n  --nodes N             simulated machine size (default 16)\
                      \n  --scale X             workload work multiplier (default {})\

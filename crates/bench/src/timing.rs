@@ -1,4 +1,5 @@
-//! Minimal self-timing harness for the `benches/` targets.
+//! Minimal self-timing harness for the `benches/` targets, plus the
+//! run and resident-memory helpers the benchmark binaries share.
 //!
 //! The workspace builds fully offline, so the benches use a plain
 //! [`std::time::Instant`] loop instead of an external benchmarking
@@ -8,6 +9,9 @@
 //! reproducible `cargo bench` entry point.
 
 use std::time::Instant;
+
+use mcc_core::{DirectorySim, RunSpec, SimResult};
+use mcc_trace::Trace;
 
 /// Number of timed samples per benchmark.
 const SAMPLES: usize = 10;
@@ -129,6 +133,35 @@ pub fn thread_cpu_secs() -> Option<f64> {
         .ok()?;
     let ns: u64 = text.split_whitespace().next()?.parse().ok()?;
     Some(ns as f64 / 1e9)
+}
+
+/// A `shards`-way run through the executor, panicking on failure like
+/// [`DirectorySim::run`].
+pub fn run_sharded(sim: &DirectorySim, trace: &Trace, shards: usize) -> SimResult {
+    let spec = RunSpec {
+        shards,
+        ..RunSpec::default()
+    };
+    sim.execute(trace, &spec)
+        .and_then(|report| report.merged())
+        .unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Resident-set figures from `/proc/self/status`, in bytes:
+/// `(current VmRSS, peak VmHWM)`. Zeros on platforms without procfs.
+pub fn resident_memory() -> (u64, u64) {
+    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
+        return (0, 0);
+    };
+    let field = |name: &str| -> u64 {
+        status
+            .lines()
+            .find(|l| l.starts_with(name))
+            .and_then(|l| l.split_whitespace().nth(1))
+            .and_then(|kb| kb.parse::<u64>().ok())
+            .map_or(0, |kb| kb * 1024)
+    };
+    (field("VmRSS:"), field("VmHWM:"))
 }
 
 fn format_secs(s: f64) -> String {

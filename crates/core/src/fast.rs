@@ -786,21 +786,19 @@ impl Engine for FastEngine {
                 .map(|&s| (self.blocks[s].index(), rows[s]))
                 .collect()
         };
-        let caches = NodeId::first(self.frame.nodes)
-            .map(|node| {
-                order
-                    .iter()
-                    .filter(|&&s| self.copyset[s].contains(node))
-                    .map(|&s| {
-                        (
-                            self.blocks[s].index(),
-                            self.holder_state(s),
-                            self.line_version[s],
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
+        // One pass over the block-sorted slots, each holder's line
+        // pushed onto its node's row, keeps every row in block order.
+        let mut caches = vec![Vec::new(); usize::from(self.frame.nodes)];
+        for &s in &order {
+            let line = (
+                self.blocks[s].index(),
+                self.holder_state(s),
+                self.line_version[s],
+            );
+            for node in self.copyset[s].iter() {
+                caches[node.index()].push(line);
+            }
+        }
         EngineSnapshot {
             caches,
             dir: order

@@ -515,8 +515,14 @@ pub fn run_live(cfg: &LiveConfig) -> Result<LiveReport, String> {
     drop(request_txs);
     drop(client_tx);
 
-    // --- Optional in-run sampler. ---
-    let sampler = cfg.verify_live.then(|| spawn_sampler(cfg, &shard_sups));
+    // --- Optional in-run sampler. If its thread cannot start, the
+    // clients are told to stop (a soak would loop on) and the run
+    // fails. ---
+    let sampler = cfg
+        .verify_live
+        .then(|| spawn_sampler(cfg, &shard_sups))
+        .transpose()
+        .inspect_err(|_| stop.store(true, Ordering::Relaxed))?;
 
     // Soak duration means *live traffic* time: the clock starts once
     // the clients are up, not at process start, so workload generation
@@ -751,7 +757,7 @@ impl Sampler {
 /// at the end of the run; the verdict then continues the same replays.
 /// Restarts are invisible to it: the journal is append-only across
 /// incarnations.
-fn spawn_sampler(cfg: &LiveConfig, shard_sups: &[ShardSup]) -> Sampler {
+fn spawn_sampler(cfg: &LiveConfig, shard_sups: &[ShardSup]) -> Result<Sampler, String> {
     let stop = Arc::new(AtomicBool::new(false));
     let stop_flag = Arc::clone(&stop);
     let shareds: Vec<Arc<ShardShared>> = shard_sups.iter().map(|s| Arc::clone(&s.shared)).collect();
@@ -776,8 +782,8 @@ fn spawn_sampler(cfg: &LiveConfig, shard_sups: &[ShardSup]) -> Sampler {
             }
             (replays, out)
         })
-        .expect("spawn live verifier");
-    Sampler { stop, handle }
+        .map_err(|e| format!("spawn live verifier: {e}"))?;
+    Ok(Sampler { stop, handle })
 }
 
 /// One replay per shard, from each journal's first entry.

@@ -35,7 +35,7 @@ use mcc_check::CheckerConfig;
 use mcc_core::{
     DirectoryEngine, Engine, EngineSnapshot, Protocol, SimResult, SnapshotGeneration, Storage,
 };
-use mcc_obs::{shared, BufferSink, Event, EventSink, TelemetrySink, DEFAULT_PUBLISH_EVERY};
+use mcc_obs::{shared, BufferSink, Event, EventSink, TelemetrySink};
 use mcc_placement::PagePlacement;
 use mcc_prng::SplitMix64;
 
@@ -305,13 +305,14 @@ pub(crate) fn run_incarnation(
     let mut staged_cursor = 0usize;
 
     // Advisory engine-event aggregates: committed events also feed a
-    // batched TelemetrySink so the plane carries `records`,
-    // `messages.*`, etc. These lag by one publish batch; the `live.*`
+    // batched TelemetrySink so the plane carries every event metric an
+    // offline MetricsRecorder writes (`records`, `messages.*`,
+    // `step.*`, ...). These lag by one publish batch; the `live.*`
     // counters are the exact ones.
     let mut event_sink = ctx
         .telemetry
         .as_ref()
-        .map(|lt| TelemetrySink::new(&lt.plane, DEFAULT_PUBLISH_EVERY));
+        .map(|lt| TelemetrySink::new(&lt.plane));
 
     // Reply channels: per-client chaos wrappers, re-seeded per epoch
     // so a restart does not replay the exact fault pattern.

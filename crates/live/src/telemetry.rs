@@ -27,7 +27,9 @@
 //! * `stage.<stage>_us` — per-stage latency histograms on the
 //!   [`Stage`] taxonomy;
 //! * the engine-event aggregates (`records`, `messages.*`,
-//!   `classification.*`, …) fed by a batched
+//!   `classification.*`, `step.<kind>`, `promote.<rule>`,
+//!   `demote.<rule>`, …: every metric an offline
+//!   [`MetricsRecorder`](mcc_obs::MetricsRecorder) writes) fed by a batched
 //!   [`TelemetrySink`](mcc_obs::TelemetrySink) on each shard's
 //!   committed event stream. These lag by at most one publish batch
 //!   and can undercount across a crash; the `live.*` counters are the

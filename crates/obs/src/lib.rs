@@ -17,14 +17,15 @@
 //! * [`BufferSink`] — the full stream, for post-run export/merging.
 //! * [`MetricsRecorder`] — aggregates into a [`Registry`] of named
 //!   counters, gauges, and log2 histograms with per-N-records interval
-//!   snapshots.
+//!   snapshots, through an [`EventTally`]: the one fold from events
+//!   to counts.
 //! * [`FlightRecorder`] — ring + per-block classification timelines,
 //!   rendered into error context when a run dies.
-//! * [`TelemetrySink`] — batched local aggregation published into a
-//!   shared, lock-free [`Telemetry`] plane that a hand-rolled HTTP
-//!   endpoint ([`TelemetryServer`]) exposes as Prometheus text and
-//!   JSON snapshots while a run is still in flight, alongside a
-//!   periodic [`SnapshotWriter`] JSONL stream.
+//! * [`TelemetrySink`] — the same [`EventTally`], batched locally and
+//!   published into a shared, lock-free [`Telemetry`] plane that a
+//!   hand-rolled HTTP endpoint ([`TelemetryServer`]) exposes as
+//!   Prometheus text and JSON snapshots while a run is still in
+//!   flight, alongside a periodic [`SnapshotWriter`] JSONL stream.
 //!
 //! The [`span`] module adds causal spans on top of the event stream:
 //! per-request [`SpanId`]s minted at ingress and carried through wire,
@@ -51,7 +52,10 @@ pub mod telemetry;
 
 pub use event::{Event, Rule, StepKind};
 pub use json::{Json, JsonError};
-pub use metrics::{IntervalSnapshot, Log2Histogram, MetricsRecorder, Registry, DEFAULT_INTERVAL};
+pub use metrics::{
+    EventTally, IntervalSnapshot, Log2Histogram, MetricValue, MetricsRecorder, Registry,
+    DEFAULT_INTERVAL,
+};
 pub use recorder::{FlightRecorder, TimelineEntry, DEFAULT_RING};
 pub use sink::{lock_sink, shared, BufferSink, EventSink, NullSink, RingSink, SharedSink};
 pub use span::{AtomicHistogram, SpanId, Stage};

@@ -2,16 +2,23 @@
 //! histograms, with interval (per-N-records) snapshots.
 //!
 //! A [`Registry`] is a plain data structure — it does not observe
-//! anything by itself. [`MetricsRecorder`] is the [`EventSink`] that
-//! feeds one from a protocol event stream, cutting a cumulative
-//! snapshot of all counters every `interval` references so sweeps can
-//! plot traffic and classification-flip rate over time.
+//! anything by itself. [`EventTally`] is the one fold from protocol
+//! events to counts: its `add` is the only code that turns an
+//! [`Event`] into numbers, and its walk names every metric it feeds
+//! (the [`names`] constants plus one `step.<kind>`, `promote.<rule>`
+//! and `demote.<rule>` counter per kind and rule).
+//! [`MetricsRecorder`] is the [`EventSink`] that tallies a protocol
+//! event stream and drains the tally into a registry, cutting a
+//! cumulative snapshot of all counters every `interval` references so
+//! sweeps can plot traffic and classification-flip rate over time;
+//! the live plane's [`TelemetrySink`](crate::TelemetrySink) publishes
+//! the same tally, so offline and live views share one vocabulary.
 //!
 //! Export formats: JSON (via the crate's own writer/parser, so the CI
 //! round-trip check needs no external dependency) and CSV/text tables
 //! via `mcc-stats`.
 
-use crate::event::Event;
+use crate::event::{Event, Rule, StepKind};
 use crate::json::{Json, JsonError};
 use crate::sink::EventSink;
 use mcc_stats::Table;
@@ -195,14 +202,6 @@ impl Registry {
     /// Reads a gauge (0 if never touched).
     pub fn gauge(&self, name: &str) -> i64 {
         self.gauges.get(name).copied().unwrap_or(0)
-    }
-
-    /// Records a value into a histogram, creating it if needed.
-    pub fn histogram_record(&mut self, name: &str, value: u64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
     }
 
     /// Folds a whole histogram into the named slot, creating it empty
@@ -437,9 +436,9 @@ impl Registry {
     }
 }
 
-/// Counter names the recorder maintains (the interesting subset; the
-/// full set also includes one `step.<kind>` counter per step kind and
-/// one `promote.<rule>` / `demote.<rule>` counter per rule).
+/// The names of the event metrics an [`EventTally`] feeds, besides
+/// one `step.<kind>` counter per [`StepKind`] and one
+/// `promote.<rule>` / `demote.<rule>` counter per [`Rule`].
 pub mod names {
     /// References observed (one per `Step` event).
     pub const RECORDS: &str = "records";
@@ -475,6 +474,161 @@ pub mod names {
     pub const BACKOFF_HIST: &str = "backoff_units";
 }
 
+/// The value of one metric in an [`EventTally::visit`] walk.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MetricValue<'a> {
+    /// A counter's increase.
+    Counter(u64),
+    /// A gauge's change.
+    Gauge(i64),
+    /// The values a histogram recorded.
+    Histogram(&'a Log2Histogram),
+}
+
+/// Per-event-type counts and sums of a protocol event stream: the one
+/// fold from [`Event`]s to metrics, behind both [`MetricsRecorder`]
+/// and the live plane's [`TelemetrySink`](crate::TelemetrySink).
+///
+/// [`EventTally::add`] is a handful of plain adds (no string, no
+/// allocation), so a consumer tallies every event and turns the tally
+/// into named metrics only at its own cadence, through
+/// [`EventTally::visit`].
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct EventTally {
+    records: u64,
+    control: u64,
+    data: u64,
+    steps: [u64; StepKind::ALL.len()],
+    promotes: [u64; Rule::ALL.len()],
+    demotes: [u64; Rule::ALL.len()],
+    invalidations: u64,
+    nacks: u64,
+    retries: u64,
+    backoff_units: u64,
+    checkpoint_saves: u64,
+    checkpoint_loads: u64,
+    shards_started: u64,
+    shards_finished: u64,
+    msg_buckets: Buckets,
+    backoff_buckets: Buckets,
+}
+
+/// Raw log2 bucket counts: the tally's hot path pays one increment
+/// per value, and [`EventTally::visit`] rebuilds the histogram from
+/// them and the sum the tally already keeps.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Buckets([u64; 65]);
+
+impl Default for Buckets {
+    fn default() -> Buckets {
+        Buckets([0; 65])
+    }
+}
+
+impl EventTally {
+    /// Counts one event.
+    pub fn add(&mut self, event: &Event) {
+        // Step dominates the stream (one per simulated reference): it
+        // is tested alone and first, and every other event is cold.
+        if let Event::Step {
+            kind,
+            control,
+            data,
+            ..
+        } = *event
+        {
+            self.records += 1;
+            self.control += control;
+            self.data += data;
+            self.steps[kind as usize] += 1;
+            self.msg_buckets.0[Log2Histogram::bucket_of(control + data)] += 1;
+            return;
+        }
+        std::hint::cold_path();
+        match *event {
+            Event::Step { .. } => {} // counted above
+            Event::Promote { rule, .. } => self.promotes[rule as usize] += 1,
+            Event::Demote { rule, .. } => self.demotes[rule as usize] += 1,
+            Event::Invalidation { .. } => self.invalidations += 1,
+            Event::Nack { .. } => self.nacks += 1,
+            Event::Retry { .. } => self.retries += 1,
+            Event::Backoff { units, .. } => {
+                self.backoff_units += units;
+                self.backoff_buckets.0[Log2Histogram::bucket_of(units)] += 1;
+            }
+            Event::CheckpointSaved { .. } => self.checkpoint_saves += 1,
+            Event::CheckpointLoaded { .. } => self.checkpoint_loads += 1,
+            Event::ShardStarted { .. } => self.shards_started += 1,
+            Event::ShardFinished { .. } => self.shards_finished += 1,
+        }
+    }
+
+    /// References counted (one per `Step` event).
+    pub fn records(&self) -> u64 {
+        self.records
+    }
+
+    /// Visits every metric the tally feeds, always in the same order:
+    /// its name, its value, and whether an event of its type was
+    /// counted (a registry shows a metric exactly from then on, even
+    /// at a zero value).
+    pub fn visit(&self, mut visit: impl FnMut(&str, MetricValue<'_>, bool)) {
+        use MetricValue::{Counter, Gauge, Histogram};
+        let promotes: u64 = self.promotes.iter().sum();
+        let demotes: u64 = self.demotes.iter().sum();
+        let msgs = u128::from(self.control) + u128::from(self.data);
+        let msgs = Log2Histogram::from_parts(self.msg_buckets.0, msgs);
+        let backoff = Log2Histogram::from_parts(self.backoff_buckets.0, self.backoff_units.into());
+        let backoffs = backoff.count();
+        // (name, value, events of its type)
+        let sums = [
+            (names::RECORDS, self.records, self.records),
+            (names::CONTROL, self.control, self.records),
+            (names::DATA, self.data, self.records),
+            (names::BACKOFF_UNITS, self.backoff_units, backoffs),
+        ];
+        let occurrences = [
+            (names::PROMOTES, promotes),
+            (names::DEMOTES, demotes),
+            (names::INVALIDATIONS, self.invalidations),
+            (names::NACKS, self.nacks),
+            (names::RETRIES, self.retries),
+            (names::CHECKPOINT_SAVES, self.checkpoint_saves),
+            (names::CHECKPOINT_LOADS, self.checkpoint_loads),
+            (names::SHARDS_STARTED, self.shards_started),
+            (names::SHARDS_FINISHED, self.shards_finished),
+        ];
+        for (name, value, events) in sums.into_iter().chain(occurrences.map(|(m, n)| (m, n, n))) {
+            visit(name, Counter(value), events > 0);
+        }
+        let kinds = StepKind::ALL.map(StepKind::label);
+        let rules = Rule::ALL.map(Rule::label);
+        let breakdowns: [(&str, &[&str], &[u64]); 3] = [
+            ("step.", &kinds, &self.steps),
+            ("promote.", &rules, &self.promotes),
+            ("demote.", &rules, &self.demotes),
+        ];
+        let mut name = String::new();
+        for (prefix, labels, counts) in breakdowns {
+            for (label, &n) in labels.iter().zip(counts) {
+                name.clear();
+                name.push_str(prefix);
+                name.push_str(label);
+                visit(&name, Counter(n), n > 0);
+            }
+        }
+        let net = promotes as i64 - demotes as i64;
+        let rest = [
+            (names::NET_MIGRATORY, Gauge(net), promotes + demotes),
+            (names::MESSAGES_PER_REF, Histogram(&msgs), self.records),
+            (names::BACKOFF_HIST, Histogram(&backoff), backoffs),
+        ];
+        for (name, value, events) in rest {
+            visit(name, value, events > 0);
+        }
+    }
+}
+
 /// Default snapshot cadence: one cumulative snapshot every this many
 /// references.
 pub const DEFAULT_INTERVAL: u64 = 50_000;
@@ -483,6 +637,10 @@ pub const DEFAULT_INTERVAL: u64 = 50_000;
 /// [`Registry`], cutting an interval snapshot every `interval`
 /// references.
 ///
+/// Events go into a pending [`EventTally`], which is drained into the
+/// registry at each interval boundary and at [`MetricsRecorder::finish`],
+/// so the per-event cost is the tally's plain adds.
+///
 /// Reference counting is local (one per observed `Step` event), so the
 /// recorder works identically on a live engine stream and on a merged
 /// multi-shard replay.
@@ -490,6 +648,7 @@ pub const DEFAULT_INTERVAL: u64 = 50_000;
 pub struct MetricsRecorder {
     interval: u64,
     records_seen: u64,
+    pending: EventTally,
     registry: Registry,
 }
 
@@ -500,6 +659,7 @@ impl MetricsRecorder {
         MetricsRecorder {
             interval: interval.max(1),
             records_seen: 0,
+            pending: EventTally::default(),
             registry: Registry::new(),
         }
     }
@@ -513,63 +673,38 @@ impl MetricsRecorder {
         rec.finish()
     }
 
-    /// The registry built so far.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
     /// Finalizes the recorder: cuts a final snapshot at the last
     /// observed record count (if it is not already on a boundary) and
     /// returns the registry.
     pub fn finish(mut self) -> Registry {
+        self.drain();
         if self.records_seen > 0 {
             self.registry.snapshot_interval(self.records_seen);
         }
         self.registry
     }
+
+    /// Moves the pending tally into the registry.
+    fn drain(&mut self) {
+        let registry = &mut self.registry;
+        std::mem::take(&mut self.pending).visit(|name, value, seen| match value {
+            _ if !seen => {}
+            MetricValue::Counter(v) => registry.counter_add(name, v),
+            MetricValue::Gauge(v) => registry.gauge_add(name, v),
+            MetricValue::Histogram(h) => registry.histogram_merge(name, h),
+        });
+    }
 }
 
 impl EventSink for MetricsRecorder {
     fn emit(&mut self, event: &Event) {
-        let reg = &mut self.registry;
-        match *event {
-            Event::Step {
-                kind,
-                control,
-                data,
-                ..
-            } => {
-                self.records_seen += 1;
-                reg.counter_add(names::RECORDS, 1);
-                reg.counter_add(names::CONTROL, control);
-                reg.counter_add(names::DATA, data);
-                reg.counter_add(&format!("step.{}", kind.label()), 1);
-                reg.histogram_record(names::MESSAGES_PER_REF, control + data);
-                if self.records_seen.is_multiple_of(self.interval) {
-                    reg.snapshot_interval(self.records_seen);
-                }
+        self.pending.add(event);
+        if let Event::Step { .. } = event {
+            self.records_seen += 1;
+            if self.records_seen.is_multiple_of(self.interval) {
+                self.drain();
+                self.registry.snapshot_interval(self.records_seen);
             }
-            Event::Promote { rule, .. } => {
-                reg.counter_add(names::PROMOTES, 1);
-                reg.counter_add(&format!("promote.{}", rule.label()), 1);
-                reg.gauge_add(names::NET_MIGRATORY, 1);
-            }
-            Event::Demote { rule, .. } => {
-                reg.counter_add(names::DEMOTES, 1);
-                reg.counter_add(&format!("demote.{}", rule.label()), 1);
-                reg.gauge_add(names::NET_MIGRATORY, -1);
-            }
-            Event::Invalidation { .. } => reg.counter_add(names::INVALIDATIONS, 1),
-            Event::Nack { .. } => reg.counter_add(names::NACKS, 1),
-            Event::Retry { .. } => reg.counter_add(names::RETRIES, 1),
-            Event::Backoff { units, .. } => {
-                reg.counter_add(names::BACKOFF_UNITS, units);
-                reg.histogram_record(names::BACKOFF_HIST, units);
-            }
-            Event::CheckpointSaved { .. } => reg.counter_add(names::CHECKPOINT_SAVES, 1),
-            Event::CheckpointLoaded { .. } => reg.counter_add(names::CHECKPOINT_LOADS, 1),
-            Event::ShardStarted { .. } => reg.counter_add(names::SHARDS_STARTED, 1),
-            Event::ShardFinished { .. } => reg.counter_add(names::SHARDS_FINISHED, 1),
         }
     }
 }
@@ -577,7 +712,6 @@ impl EventSink for MetricsRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Rule, StepKind};
 
     fn step(step: u64, control: u64, data: u64) -> Event {
         Event::Step {
@@ -773,6 +907,143 @@ mod tests {
         }
         // And the re-serialized form is byte-identical.
         assert_eq!(back.to_json(), text);
+    }
+
+    /// One stream holding every event variant, a zero-charge step and a
+    /// zero-unit backoff (so the first interval holds zero-valued
+    /// counters) and shard/checkpoint framing, cut every 3 records.
+    fn every_variant() -> Vec<Event> {
+        let at = |step, kind, control, data| Event::Step {
+            step,
+            block: step % 3,
+            node: (step % 2) as u16,
+            kind,
+            control,
+            data,
+        };
+        let (block, node) = (2, 1);
+        vec![
+            Event::ShardStarted {
+                shard: 0,
+                records: 7,
+            },
+            at(1, StepKind::ReadHit, 0, 0),
+            Event::Backoff {
+                step: 2,
+                block,
+                node,
+                units: 0,
+            },
+            at(2, StepKind::WriteMiss, 2, 0),
+            Event::Promote {
+                step: 2,
+                block,
+                node,
+                rule: Rule::WriteHitShared,
+            },
+            Event::Invalidation {
+                step: 2,
+                block,
+                node: 0,
+            },
+            at(3, StepKind::ReadMissMigrate, 1, 0),
+            Event::Nack {
+                step: 4,
+                block,
+                node,
+                attempt: 1,
+            },
+            Event::Retry {
+                step: 4,
+                block,
+                node,
+                attempt: 1,
+            },
+            Event::Backoff {
+                step: 4,
+                block,
+                node,
+                units: 6,
+            },
+            at(4, StepKind::WriteMiss, 3, 2),
+            Event::CheckpointSaved {
+                step: 4,
+                records: 4,
+            },
+            Event::Demote {
+                step: 5,
+                block,
+                node,
+                rule: Rule::ReadMiss,
+            },
+            at(5, StepKind::ReadMissReplicate, 2, 1),
+            Event::Promote {
+                step: 6,
+                block,
+                node,
+                rule: Rule::WriteMiss,
+            },
+            at(6, StepKind::BusWriteHitInvalidate, 1, 0),
+            Event::CheckpointLoaded {
+                step: 6,
+                records: 6,
+            },
+            at(7, StepKind::SharedUpgrade, 1, 0),
+            Event::ShardFinished {
+                shard: 0,
+                records: 7,
+            },
+        ]
+    }
+
+    #[test]
+    fn recorder_json_is_pinned() {
+        // The recorder's bytes for this stream, as `names` and the
+        // `step.`/`promote.`/`demote.` spellings make them: a metric
+        // appears once an event of its type occurred, zero-valued or
+        // not.
+        const PINNED: &str = concat!(
+            r#"{"counters":{"checkpoint.loads":1,"checkpoint.saves":1,"#,
+            r#""classification.demotes":1,"classification.promotes":2,"demote.read-miss":1,"#,
+            r#""faults.backoff_units":6,"faults.nacks":1,"faults.retries":1,"#,
+            r#""invalidations":1,"messages.control":10,"messages.data":3,"#,
+            r#""promote.write-hit-shared":1,"promote.write-miss":1,"records":7,"#,
+            r#""shards.finished":1,"shards.started":1,"step.bus-write-hit-invalidate":1,"#,
+            r#""step.read-hit":1,"step.read-miss-migrate":1,"step.read-miss-replicate":1,"#,
+            r#""step.shared-upgrade":1,"step.write-miss":2},"#,
+            r#""gauges":{"classification.net_migratory":1},"histograms":{"backoff_units":[1,"#,
+            r#"0,0,1],"messages_per_ref":[1,3,2,1]},"intervals":[{"records":3,"#,
+            r#""counters":{"classification.promotes":1,"faults.backoff_units":0,"#,
+            r#""invalidations":1,"messages.control":3,"messages.data":0,"#,
+            r#""promote.write-hit-shared":1,"records":3,"shards.started":1,"step.read-hit":1,"#,
+            r#""step.read-miss-migrate":1,"step.write-miss":1}},{"records":6,"#,
+            r#""counters":{"checkpoint.saves":1,"classification.demotes":1,"#,
+            r#""classification.promotes":2,"demote.read-miss":1,"faults.backoff_units":6,"#,
+            r#""faults.nacks":1,"faults.retries":1,"invalidations":1,"messages.control":9,"#,
+            r#""messages.data":3,"promote.write-hit-shared":1,"promote.write-miss":1,"#,
+            r#""records":6,"shards.started":1,"step.bus-write-hit-invalidate":1,"#,
+            r#""step.read-hit":1,"step.read-miss-migrate":1,"step.read-miss-replicate":1,"#,
+            r#""step.write-miss":2}},{"records":7,"counters":{"checkpoint.loads":1,"#,
+            r#""checkpoint.saves":1,"classification.demotes":1,"classification.promotes":2,"#,
+            r#""demote.read-miss":1,"faults.backoff_units":6,"faults.nacks":1,"#,
+            r#""faults.retries":1,"invalidations":1,"messages.control":10,"messages.data":3,"#,
+            r#""promote.write-hit-shared":1,"promote.write-miss":1,"records":7,"#,
+            r#""shards.finished":1,"shards.started":1,"step.bus-write-hit-invalidate":1,"#,
+            r#""step.read-hit":1,"step.read-miss-migrate":1,"step.read-miss-replicate":1,"#,
+            r#""step.shared-upgrade":1,"step.write-miss":2}}]}"#,
+        );
+        let json = MetricsRecorder::replay(&every_variant(), 3).to_json();
+        assert_eq!(json, PINNED);
+    }
+
+    #[test]
+    fn tally_indexes_kinds_and_rules_in_declaration_order() {
+        for (i, kind) in StepKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{}", kind.label());
+        }
+        for (i, rule) in Rule::ALL.into_iter().enumerate() {
+            assert_eq!(rule as usize, i, "{}", rule.label());
+        }
     }
 
     #[test]

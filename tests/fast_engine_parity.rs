@@ -325,7 +325,7 @@ fn telemetry_plane_is_inert_and_observes() {
     // aggregation publishing into shared atomics) produces bit-exact
     // results against an unobserved run, on both engines — while the
     // plane itself demonstrably sees the event stream.
-    use mcc::obs::{NullSink, Telemetry, TelemetrySink, DEFAULT_PUBLISH_EVERY};
+    use mcc::obs::{NullSink, Telemetry, TelemetrySink};
 
     let trace = parity_trace(0x7e1e_0b55, 4_000);
     for protocol in Protocol::PAPER_SET {
@@ -340,18 +340,12 @@ fn telemetry_plane_is_inert_and_observes() {
         };
         let plane = Telemetry::new();
         let bare = run(EngineKind::Fast, shared(NullSink).1);
-        let traced = run(
-            EngineKind::Fast,
-            shared(TelemetrySink::new(&plane, DEFAULT_PUBLISH_EVERY)).1,
-        );
+        let traced = run(EngineKind::Fast, shared(TelemetrySink::new(&plane)).1);
         assert_eq!(
             bare, traced,
             "{protocol}: a telemetry sink perturbed the fast engine"
         );
-        let reference = run(
-            EngineKind::Reference,
-            shared(TelemetrySink::new(&plane, DEFAULT_PUBLISH_EVERY)).1,
-        );
+        let reference = run(EngineKind::Reference, shared(TelemetrySink::new(&plane)).1);
         assert_eq!(
             bare, reference,
             "{protocol}: a telemetry sink perturbed the reference engine"
@@ -460,5 +454,51 @@ fn sweeps_name_the_lowest_broken_block_on_every_engine() {
                 "{label}"
             );
         }
+    }
+}
+
+#[test]
+fn wide_machines_capture_identical_snapshots() {
+    // Past 64 nodes a copy set spills to the heap, and the fast engine
+    // builds each node's cache row from the copy sets: after a
+    // read-heavy random trace, both engines must capture the same
+    // snapshot, every row in block order.
+    const WIDE: u16 = 130;
+    let config = DirectorySimConfig {
+        nodes: WIDE,
+        ..DirectorySimConfig::default()
+    };
+    let mut rng = mcc_prng::SplitMix64::new(0x51de_5a9e);
+    let trace: Trace = (0..20_000)
+        .map(|_| {
+            let node = NodeId::new(rng.gen_range(0..u64::from(WIDE)) as u16);
+            let addr = Addr::new(rng.gen_range(0..64) * 16);
+            if rng.chance_ppm(200_000) {
+                MemRef::write(node, addr)
+            } else {
+                MemRef::read(node, addr)
+            }
+        })
+        .collect();
+    for protocol in protocol_points() {
+        let run = |kind| {
+            let placement = PagePlacement::round_robin(WIDE);
+            let mut engine = AnyEngine::new(kind, protocol, &config, placement);
+            for r in trace.iter() {
+                engine.step(*r);
+            }
+            engine
+        };
+        let (reference, fast) = (run(EngineKind::Reference), run(EngineKind::Fast));
+        let lines = fast.resident_lines();
+        assert!(
+            lines.iter().any(|&(node, ..)| node.index() >= 64),
+            "{protocol}: no copy set spilled past node 63"
+        );
+        assert_eq!(
+            reference.snapshot(),
+            fast.snapshot(),
+            "{protocol}: snapshots diverged at {WIDE} nodes"
+        );
     }
 }

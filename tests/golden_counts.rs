@@ -287,7 +287,7 @@ fn pinned_message_totals() {
             if test_telemetry() {
                 use mcc::obs::{metrics::names, shared, Telemetry, TelemetrySink};
                 let plane = Telemetry::new();
-                let sink = shared(TelemetrySink::new(&plane, mcc::obs::DEFAULT_PUBLISH_EVERY)).1;
+                let sink = shared(TelemetrySink::new(&plane)).1;
                 let observed = observed_run(&sim, &trace, sink)
                     .expect("telemetry-instrumented golden run")
                     .total_messages();

@@ -318,7 +318,7 @@ fn telemetry_attached_resume_stays_bit_exact() {
     // bit-identical to the uninterrupted, unobserved run — while the
     // plane visibly records the restore (a `CheckpointLoaded` event
     // per resumed shard).
-    use mcc::obs::{metrics::names, shared, Telemetry, TelemetrySink, DEFAULT_PUBLISH_EVERY};
+    use mcc::obs::{metrics::names, shared, Telemetry, TelemetrySink};
 
     let trace = small_trace(4);
     let cfg = DirectorySimConfig {
@@ -337,7 +337,7 @@ fn telemetry_attached_resume_stays_bit_exact() {
                 .expect("prefix replays cleanly");
             let plane = Telemetry::new();
             let sinks: Vec<_> = (0..shards)
-                .map(|_| shared(TelemetrySink::new(&plane, DEFAULT_PUBLISH_EVERY)).1)
+                .map(|_| shared(TelemetrySink::new(&plane)).1)
                 .collect();
             let spec = RunSpec {
                 shards,
