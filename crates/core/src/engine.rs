@@ -24,7 +24,9 @@
 //! too: each engine only visits its blocks as [`BlockRow`]s
 //! ([`Engine::rows`]), and one provided [`Engine::sweep`] checks them,
 //! for [`Engine::verify`], the [`Monitor`](crate::Monitor), the
-//! `mcc-check` harness and snapshot restore alike. Checkpoints are
+//! `mcc-check` harness and snapshot restore alike; the harness's
+//! per-step [`Engine::sweep_blocks`] runs the same checks over the
+//! blocks it names. Checkpoints are
 //! interchangeable because both sides convert through the same
 //! [`EngineSnapshot`], and both refuse the same malformed ones at
 //! restore: whatever the sweep refuses in the snapshot's rows.
@@ -464,6 +466,20 @@ fn sweep_rows(
     lowest.map_or(Ok(()), |((block, ..), fault)| Err((block, fault)))
 }
 
+/// The [`Violation`] `engine` reports for a sweep's lowest break.
+fn swept<E: Engine + ?Sized>(
+    engine: &E,
+    (block, (kind, context)): (BlockAddr, LineFault),
+) -> Violation {
+    Violation {
+        block,
+        step: engine.steps(),
+        kind,
+        context,
+        entry: engine.dir_entry(block),
+    }
+}
+
 /// Which engine implementation a run uses.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum EngineKind {
@@ -543,13 +559,40 @@ pub trait Engine {
         &self,
         check: &mut dyn FnMut(BlockAddr, u64, u64) -> Result<(), LineFault>,
     ) -> Result<(), Violation> {
-        sweep_rows(|visit| self.rows(visit), check).map_err(|(block, (kind, context))| Violation {
-            block,
-            step: self.steps(),
-            kind,
-            context,
-            entry: self.dir_entry(block),
-        })
+        sweep_rows(|visit| self.rows(visit), check).map_err(|fault| swept(self, fault))
+    }
+
+    /// [`Engine::sweep`] over `blocks` alone, their lines looked up at
+    /// nodes `0..nodes`. Each block with a directory entry or a resident
+    /// line comes in one row, built from [`Engine::dir_entry`],
+    /// [`Engine::line_state`] and [`Engine::line_version`] per node,
+    /// [`Engine::memory_version`] and [`Engine::latest_version`]; the
+    /// same checks judge it, so a break among `blocks` is reported as
+    /// [`Engine::sweep`] would report it were the other blocks clean.
+    fn sweep_blocks(
+        &self,
+        blocks: &[BlockAddr],
+        nodes: u16,
+        check: &mut dyn FnMut(BlockAddr, u64, u64) -> Result<(), LineFault>,
+    ) -> Result<(), Violation> {
+        let rows = |visit: &mut dyn FnMut(BlockRow<'_>)| {
+            for &block in blocks {
+                let entry = self.dir_entry(block);
+                let line = |n| Some((n, self.line_state(n, block)?, self.line_version(n, block)?));
+                let mut lines = NodeId::first(nodes).filter_map(line).peekable();
+                if entry.is_none() && lines.peek().is_none() {
+                    continue;
+                }
+                visit(BlockRow {
+                    block,
+                    entry: entry.as_ref().map(|e| (&e.copyset, e.dirty)),
+                    lines: &mut lines,
+                    memory: self.memory_version(block),
+                    latest: self.latest_version(block),
+                });
+            }
+        };
+        sweep_rows(rows, check).map_err(|fault| swept(self, fault))
     }
 
     /// The structural half of [`Engine::sweep`], with no line check.
