@@ -6,7 +6,8 @@
 //! [`Checker`] at every branch so each
 //! prefix's work is done exactly once. Every reachable state within
 //! the bound is therefore visited and checked against the full
-//! invariant suite.
+//! invariant suite: each step over its footprint, and each trace's
+//! last state, like the end of a replay, over every block.
 //!
 //! At the CI configuration (2 nodes, 1 block, L = 8) the alphabet has
 //! 4 symbols and the tree has 4 + 4² + … + 4⁸ = 87 380 states per
@@ -137,15 +138,26 @@ fn dfs(
     path: &mut Vec<MemRef>,
     search: &mut Search,
 ) -> Option<(Trace, CheckViolation)> {
+    // Where a trace ends, at a leaf or where a cap cuts the search
+    // short, its last steps get the checks over every block that a
+    // replay's `finish` would run: a step's own checks cover only its
+    // footprint unless its number is a power of two.
+    let ended = |path: &[MemRef]| {
+        if checker.steps().is_power_of_two() {
+            return None;
+        }
+        let violation = checker.check_world().err()?;
+        Some((Trace::from(path.to_vec()), violation))
+    };
     if path.len() >= search.max_len {
-        return None;
+        return ended(path);
     }
     for i in 0..search.alphabet.len() {
         if search.states >= search.max_states
             || search.deadline.is_some_and(|d| Instant::now() >= d)
         {
             search.truncated = true;
-            return None;
+            return ended(path);
         }
         let r = search.alphabet[i];
         search.states += 1;
@@ -169,6 +181,7 @@ fn dfs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::invariants::InvariantId;
     use mcc_core::Protocol;
 
     #[test]
@@ -191,6 +204,54 @@ mod tests {
         assert!(!out.complete);
         assert_eq!(out.states, 100);
         assert!(out.violation.is_none());
+    }
+
+    #[test]
+    fn an_ended_trace_gets_the_checks_over_every_block() {
+        let at = |node, block, op| {
+            MemRef::new(
+                NodeId::new(node),
+                op,
+                Addr::new(block * CHECK_BLOCK_SIZE.bytes()),
+            )
+        };
+        // Node 0 writes block 1; block 0 then changes hands. After step
+        // 4, the last step checked over every block, node 0's copy of
+        // block 1 takes a version no write made. The alphabet names
+        // block 0 alone, so no later step's footprint holds block 1.
+        let mut root = Checker::new(&CheckerConfig::new(Protocol::Basic, 2));
+        let prefix = [
+            at(0, 1, MemOp::Write),
+            at(1, 0, MemOp::Write),
+            at(0, 0, MemOp::Read),
+            at(1, 0, MemOp::Write),
+        ];
+        for r in prefix {
+            root.check_step(r).unwrap();
+        }
+        let block = Addr::new(CHECK_BLOCK_SIZE.bytes()).block(CHECK_BLOCK_SIZE);
+        assert!(root
+            .engine_mut()
+            .poison_line_version(NodeId::new(0), block, 7));
+        // A leaf at depth 5, and a state cap that cuts the search short
+        // at depth 5, both end a trace at a step that is no power of two.
+        for (max_len, max_states) in [(5, u64::MAX), (8, 1)] {
+            let mut search = Search {
+                alphabet: (0..2)
+                    .flat_map(|n| [at(n, 0, MemOp::Read), at(n, 0, MemOp::Write)])
+                    .collect(),
+                max_len,
+                max_states,
+                deadline: None,
+                states: 0,
+                truncated: false,
+            };
+            let (trace, violation) = dfs(&root, &mut prefix.to_vec(), &mut search).unwrap();
+            assert_eq!(trace.len(), 5);
+            assert_eq!(violation.step, 5, "{violation}");
+            assert_eq!(violation.invariant, InvariantId::DataValue, "{violation}");
+            assert_eq!(violation.block, Some(1), "{violation}");
+        }
     }
 
     #[test]

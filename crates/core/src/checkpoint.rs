@@ -1173,7 +1173,7 @@ pub fn stage_tmp<S: Storage + ?Sized>(
     path: &Path,
     bytes: &[u8],
 ) -> io::Result<PathBuf> {
-    let tmp = sibling(path, ".tmp");
+    let tmp = tmp_path(path);
     storage.write_file(&tmp, bytes)?;
     storage.sync(&tmp)?;
     Ok(tmp)
@@ -1194,6 +1194,13 @@ pub fn commit_tmp<S: Storage + ?Sized>(storage: &S, tmp: &Path, path: &Path) -> 
 /// `x.ckpt.prev`).
 pub fn prev_path(path: &Path) -> PathBuf {
     sibling(path, ".prev")
+}
+
+/// The sibling [`stage_tmp`] writes before [`commit_tmp`] renames it
+/// over `path` (`x.ckpt` ↔ `x.ckpt.tmp`); a kill between the two
+/// leaves it behind.
+pub fn tmp_path(path: &Path) -> PathBuf {
+    sibling(path, ".tmp")
 }
 
 /// `path` with `suffix` appended to its file name.
