@@ -12,23 +12,27 @@
 //! `--planted-bug` mode, when the planted bug was *not* found), 2 on
 //! usage errors.
 
-use std::path::PathBuf;
+use std::num::NonZeroU16;
+use std::path::{Path, PathBuf};
 use std::process::exit;
 use std::time::{Duration, Instant};
 
 use mcc_bench::args::Flags;
 use mcc_check::{
-    explore, fuzz, parse_directory_repr, parse_protocol, protocol_points, protocol_slug, Checker,
-    CheckerConfig, Counterexample, ExploreConfig, FuzzConfig,
+    explore, fuzz, parse_directory_repr, parse_protocol, protocol_points, protocol_slug,
+    CheckViolation, Checker, CheckerConfig, Counterexample, ExploreConfig, FuzzConfig,
 };
 use mcc_core::Protocol;
-use mcc_obs::{lock_sink, shared, FlightRecorder, Json, DEFAULT_RING};
+use mcc_obs::{Event, FlightRecorder, Json, DEFAULT_RING};
 use mcc_trace::Trace;
 
 const BIN: &str = "modelcheck";
 
 struct Args {
-    nodes: u16,
+    /// The checked machine, from `--nodes`, `--fast-engine`,
+    /// `--directory` and `--planted-bug`; each protocol point checked
+    /// replaces its protocol.
+    checker: CheckerConfig,
     blocks: u64,
     max_len: usize,
     max_states: u64,
@@ -37,11 +41,8 @@ struct Args {
     fuzz_len: usize,
     time_budget: Option<Duration>,
     repro_dir: Option<PathBuf>,
-    planted_bug: bool,
     replay: Option<PathBuf>,
     protocol: Option<Protocol>,
-    fast_engine: bool,
-    directory: mcc_core::DirectoryRepr,
 }
 
 fn main() {
@@ -50,6 +51,7 @@ fn main() {
         exit(replay(path, &args));
     }
 
+    let planted_bug = !args.checker.spec_demotion_enabled;
     let deadline = args.time_budget.map(|b| Instant::now() + b);
     let protocols: Vec<Protocol> = match args.protocol {
         Some(p) => vec![p],
@@ -58,22 +60,23 @@ fn main() {
 
     let mut counterexamples: Vec<Counterexample> = Vec::new();
     let mut exhaustive_rows = Vec::new();
-    if args.max_len > 0 && !args.planted_bug {
+    if args.max_len > 0 && !planted_bug {
         for &protocol in &protocols {
-            let mut config = ExploreConfig::new(protocol);
-            config.nodes = args.nodes;
-            config.blocks = args.blocks;
-            config.max_len = args.max_len;
-            config.max_states = args.max_states;
-            config.time_budget = deadline.map(remaining);
-            config.fast_engine = args.fast_engine;
-            config.directory = args.directory;
-            let out = explore(&config);
+            let out = explore(&ExploreConfig {
+                checker: CheckerConfig {
+                    protocol,
+                    ..args.checker.clone()
+                },
+                blocks: args.blocks,
+                max_len: args.max_len,
+                max_states: args.max_states,
+                time_budget: deadline.map(remaining),
+            });
             eprintln!(
                 "{BIN}: exhaustive {} nodes={} blocks={} L={}: {} states, complete={}, \
                  violations={}",
                 protocol_slug(protocol),
-                args.nodes,
+                args.checker.nodes,
                 args.blocks,
                 args.max_len,
                 out.states,
@@ -95,21 +98,19 @@ fn main() {
 
     let mut fuzz_row = Json::Null;
     if args.fuzz_cases > 0 {
-        let mut config = FuzzConfig::new(args.seed);
-        config.protocols = protocols.clone();
-        config.cases = args.fuzz_cases;
-        config.trace_len = args.fuzz_len;
-        config.nodes = args.nodes.max(2);
-        config.blocks = args.blocks.max(2);
-        config.broken_demotion_spec = args.planted_bug;
-        config.fast_engine = args.fast_engine;
-        config.directory = args.directory;
-        config.time_budget = deadline.map(remaining);
-        if args.planted_bug {
+        let report = fuzz(&FuzzConfig {
+            checker: args.checker.clone(),
             // The planted bug only shows against an adaptive spec.
-            config.protocols.retain(|p| p.policy().is_some());
-        }
-        let report = fuzz(&config);
+            protocols: (protocols.iter().copied())
+                .filter(|p| !planted_bug || p.policy().is_some())
+                .collect(),
+            seed: args.seed,
+            cases: args.fuzz_cases,
+            trace_len: args.fuzz_len,
+            // Blocks are the generator's alphabet, not the machine.
+            blocks: args.blocks.max(2),
+            time_budget: deadline.map(remaining),
+        });
         eprintln!(
             "{BIN}: fuzz seed={} cases={} refs={} complete={} violations={}",
             args.seed,
@@ -132,11 +133,14 @@ fn main() {
     }
 
     let mut cx_rows = Vec::new();
-    for cx in &counterexamples {
-        let repro = write_repro(cx, args.repro_dir.as_deref());
-        render(cx, &args);
+    for (index, cx) in counterexamples.iter().enumerate() {
+        let repro = write_repro(index, cx, args.repro_dir.as_deref());
+        render(cx, &check(&cx.config, &cx.trace).1);
         cx_rows.push(Json::Obj(vec![
-            ("protocol".into(), Json::Str(protocol_slug(cx.protocol))),
+            (
+                "protocol".into(),
+                Json::Str(protocol_slug(cx.config.protocol)),
+            ),
             (
                 "invariant".into(),
                 Json::Str(cx.violation.invariant.label().into()),
@@ -152,32 +156,31 @@ fn main() {
 
     let summary = Json::Obj(vec![
         ("tool".into(), Json::Str(BIN.into())),
-        ("planted_bug".into(), Json::Bool(args.planted_bug)),
-        ("fast_engine".into(), Json::Bool(args.fast_engine)),
-        ("directory".into(), Json::Str(args.directory.to_string())),
+        ("planted_bug".into(), Json::Bool(planted_bug)),
+        ("fast_engine".into(), Json::Bool(args.checker.fast_engine)),
+        (
+            "directory".into(),
+            Json::Str(args.checker.directory.to_string()),
+        ),
         ("exhaustive".into(), Json::Arr(exhaustive_rows)),
         ("fuzz".into(), fuzz_row),
         ("counterexamples".into(), Json::Arr(cx_rows)),
     ]);
     println!("{summary}");
 
-    let failed = if args.planted_bug {
-        // Fixture mode inverts success: the fuzzer must find the bug.
-        counterexamples.is_empty()
-    } else {
-        !counterexamples.is_empty()
-    };
-    exit(i32::from(failed));
+    // Fixture mode inverts success: the fuzzer must find the bug.
+    exit(i32::from(counterexamples.is_empty() == planted_bug));
 }
 
 fn remaining(deadline: Instant) -> Duration {
     deadline.saturating_duration_since(Instant::now())
 }
 
-/// Re-checks a previously written `.mcct` counterexample and renders
-/// the flight-recorder context. Exits 0 when the trace still fails
-/// (the repro reproduces), 1 when it passes cleanly.
-fn replay(path: &std::path::Path, args: &Args) -> i32 {
+/// Re-checks a previously written `.mcct` counterexample on the machine
+/// the flags name and renders the flight-recorder context. Exits 0 when
+/// the trace still fails (the repro reproduces), 1 when it passes
+/// cleanly.
+fn replay(path: &Path, args: &Args) -> i32 {
     let protocol = args.protocol.unwrap_or_else(|| {
         eprintln!("{BIN}: --replay needs --protocol NAME");
         exit(2);
@@ -190,42 +193,51 @@ fn replay(path: &std::path::Path, args: &Args) -> i32 {
         eprintln!("{BIN}: {}: not a valid trace: {e}", path.display());
         exit(2);
     });
-    let mut config = CheckerConfig::new(protocol, args.nodes);
-    config.spec_demotion_enabled = !args.planted_bug;
-    config.fast_engine = args.fast_engine;
-    config.directory = args.directory;
-    match Checker::new(&config).run(&trace) {
-        Err(violation) => {
-            let cx = Counterexample {
-                protocol,
-                trace,
-                violation,
-            };
-            eprintln!("{BIN}: replay of {} still fails:", path.display());
-            render(&cx, args);
-            0
-        }
-        Ok(_) => {
-            eprintln!(
-                "{BIN}: replay of {} passes — the counterexample no longer reproduces",
-                path.display()
-            );
-            1
-        }
-    }
+    let config = CheckerConfig {
+        protocol,
+        ..args.checker.clone()
+    };
+    let (verdict, events) = check(&config, &trace);
+    let Some(violation) = verdict else {
+        eprintln!(
+            "{BIN}: replay of {} passes — the counterexample no longer reproduces",
+            path.display()
+        );
+        return 1;
+    };
+    eprintln!("{BIN}: replay of {} still fails:", path.display());
+    let cx = Counterexample {
+        config,
+        trace,
+        violation,
+    };
+    render(&cx, &events);
+    0
 }
 
-/// Writes a minimized counterexample trace under `dir`, returning its
-/// path.
-fn write_repro(cx: &Counterexample, dir: Option<&std::path::Path>) -> Option<PathBuf> {
+/// Runs `trace` through a checker on `config` up to its first
+/// violation, `finish`'s included: that violation, and every event the
+/// engine emitted on the way.
+fn check(config: &CheckerConfig, trace: &Trace) -> (Option<CheckViolation>, Vec<Event>) {
+    let mut checker = Checker::new(config);
+    let stepped = (trace.iter()).try_for_each(|r| checker.check_step(*r).map(drop));
+    let events = checker.events();
+    let verdict = stepped.and_then(|()| checker.finish().map(drop));
+    (verdict.err(), events)
+}
+
+/// Writes the `index`th minimized counterexample trace under `dir`,
+/// returning its path.
+fn write_repro(index: usize, cx: &Counterexample, dir: Option<&Path>) -> Option<PathBuf> {
     let dir = dir?;
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("{BIN}: cannot create {}: {e}", dir.display());
         return None;
     }
+    let block = (cx.violation.block).map_or(String::new(), |b| format!("-block{b}"));
     let path = dir.join(format!(
-        "{}-{}-step{}.mcct",
-        protocol_slug(cx.protocol),
+        "{index}-{}-{}{block}-step{}.mcct",
+        protocol_slug(cx.config.protocol),
         cx.violation.invariant.label(),
         cx.violation.step
     ));
@@ -241,42 +253,25 @@ fn write_repro(cx: &Counterexample, dir: Option<&std::path::Path>) -> Option<Pat
 }
 
 /// Renders a counterexample on stderr: the violation, the minimized
-/// trace, and the flight recorder's last-events dump plus the
-/// offending block's classification timeline (from re-running the
-/// trace through a plain engine with a recorder sink).
-fn render(cx: &Counterexample, args: &Args) {
+/// trace, and the flight recorder's last-events dump plus the offending
+/// block's classification timeline, read from `events`, the event tap
+/// of a checker that replayed the trace on `cx.config`.
+fn render(cx: &Counterexample, events: &[Event]) {
     eprintln!(
         "{BIN}: counterexample [{}] {}",
-        protocol_slug(cx.protocol),
+        protocol_slug(cx.config.protocol),
         cx.violation
     );
     for (i, r) in cx.trace.iter().enumerate() {
         eprintln!("{BIN}:   [{i}] {r}");
     }
-    let config = mcc_core::DirectorySimConfig {
-        nodes: args.nodes,
-        block_size: mcc_check::CHECK_BLOCK_SIZE,
-        placement: mcc_core::PlacementPolicy::RoundRobin,
-        ..mcc_core::DirectorySimConfig::default()
-    };
-    let (recorder, handle) = shared(FlightRecorder::new(DEFAULT_RING));
-    let spec = mcc_core::RunSpec {
-        sinks: Some(std::slice::from_ref(&handle)),
-        monitor: true,
-        ..mcc_core::RunSpec::default()
-    };
-    let outcome = mcc_core::DirectorySim::new(cx.protocol, &config)
-        .execute(&cx.trace, &spec)
-        .and_then(|report| report.merged());
-    if let Err(e) = outcome {
-        eprintln!("{BIN}: engine replay itself failed: {e}");
-    }
-    eprint!("{}", lock_sink(&recorder).report(cx.violation.block));
+    let recorder = FlightRecorder::replay(events, DEFAULT_RING);
+    eprint!("{}", recorder.report(cx.violation.block));
 }
 
 fn parse_args() -> Args {
     let mut args = Args {
-        nodes: 2,
+        checker: CheckerConfig::new(Protocol::Conventional, 2),
         blocks: 1,
         max_len: 8,
         max_states: u64::MAX,
@@ -285,16 +280,13 @@ fn parse_args() -> Args {
         fuzz_len: 400,
         time_budget: None,
         repro_dir: None,
-        planted_bug: false,
         replay: None,
         protocol: None,
-        fast_engine: false,
-        directory: mcc_core::DirectoryRepr::FullMap,
     };
     let mut flags = Flags::from_env(BIN);
     while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
-            "--nodes" => args.nodes = flags.value(),
+            "--nodes" => args.checker.nodes = flags.value::<NonZeroU16>().get(),
             "--blocks" => args.blocks = flags.value(),
             "--max-len" => args.max_len = flags.value(),
             "--max-states" => args.max_states = flags.value(),
@@ -303,9 +295,9 @@ fn parse_args() -> Args {
             "--fuzz-len" => args.fuzz_len = flags.value(),
             "--time-budget" => args.time_budget = Some(Duration::from_secs(flags.value())),
             "--repro-dir" => args.repro_dir = Some(flags.value()),
-            "--planted-bug" => args.planted_bug = true,
-            "--fast-engine" => args.fast_engine = true,
-            "--directory" => args.directory = flags.value_with(parse_directory_repr),
+            "--planted-bug" => args.checker.spec_demotion_enabled = false,
+            "--fast-engine" => args.checker.fast_engine = true,
+            "--directory" => args.checker.directory = flags.value_with(parse_directory_repr),
             "--replay" => args.replay = Some(flags.value()),
             "--protocol" => args.protocol = Some(flags.value_with(parse_protocol)),
             "--help" | "-h" => {

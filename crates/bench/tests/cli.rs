@@ -2,8 +2,11 @@
 //! (exit 2, one message format) rather than a panic or a silently
 //! ignored argument, and every binary accepts a well-formed command.
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::{Command, Output};
+
+use mcc_obs::Json;
 
 /// A fresh scratch directory for one test.
 fn scratch(name: &str) -> PathBuf {
@@ -62,6 +65,11 @@ fn malformed_values_are_usage_errors_not_panics() {
     usage_error(
         &run(env!("CARGO_BIN_EXE_modelcheck"), &["--protocol", "bogus"]),
         "--protocol",
+    );
+    // A machine needs a node.
+    usage_error(
+        &run(env!("CARGO_BIN_EXE_modelcheck"), &["--nodes", "0"]),
+        "--nodes",
     );
     usage_error(
         &run(env!("CARGO_BIN_EXE_torture"), &["--scenario", "bogus"]),
@@ -264,6 +272,56 @@ fn a_finished_sweep_leaves_no_snapshot_behind() {
         "{restart}"
     );
     assert_eq!(left(), results);
+}
+
+#[test]
+fn modelcheck_repros_are_distinct_and_replay_on_the_machine_that_found_them() {
+    let dir = scratch("modelcheck-repros");
+    let modelcheck = env!("CARGO_BIN_EXE_modelcheck");
+    let machine = [
+        "--protocol",
+        "aggressive",
+        "--nodes",
+        "3",
+        "--directory",
+        "dir1b",
+        "--planted-bug",
+    ];
+    let campaign = [
+        "--seed",
+        "1993",
+        "--fuzz-cases",
+        "4",
+        "--repro-dir",
+        "repros",
+    ];
+    let summary = accepted(&run_in(
+        &dir,
+        modelcheck,
+        &[&machine[..], &campaign].concat(),
+    ));
+    let summary = Json::parse(&summary).unwrap();
+    let rows = summary.get("counterexamples").and_then(Json::as_arr);
+    let rows = rows.expect("a counterexamples array");
+    // Several counterexamples share a protocol, invariant and step.
+    assert!(rows.len() > 2, "{summary}");
+    let mut repros = BTreeSet::new();
+    for row in rows {
+        let field = |key| row.get(key).unwrap_or_else(|| panic!("{key} in {row}"));
+        let repro = field("repro").as_str().unwrap();
+        assert!(repros.insert(repro), "{repro} named twice");
+        assert!(dir.join(repro).is_file(), "{repro}");
+        let out = run_in(
+            &dir,
+            modelcheck,
+            &[&["--replay", repro], &machine[..]].concat(),
+        );
+        accepted(&out);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let (invariant, step) = (field("invariant").as_str(), field("step").as_u64());
+        let named = format!("[{}] step {}", invariant.unwrap(), step.unwrap());
+        assert!(stderr.contains(&named), "{repro}: want {named}: {stderr}");
+    }
 }
 
 #[test]

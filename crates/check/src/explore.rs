@@ -7,7 +7,9 @@
 //! prefix's work is done exactly once. Every reachable state within
 //! the bound is therefore visited and checked against the full
 //! invariant suite: each step over its footprint, and each trace's
-//! last state, like the end of a replay, over every block.
+//! last state, like the end of a replay, over every block. Every trace
+//! runs on the machine [`ExploreConfig::checker`] names, so under a
+//! finite cache the search also reaches every eviction.
 //!
 //! At the CI configuration (2 nodes, 1 block, L = 8) the alphabet has
 //! 4 symbols and the tree has 4 + 4² + … + 4⁸ = 87 380 states per
@@ -26,8 +28,9 @@ use crate::invariants::{CheckViolation, Checker, CheckerConfig, CHECK_BLOCK_SIZE
 /// A failing trace with the violation it provokes.
 #[derive(Clone, Debug)]
 pub struct Counterexample {
-    /// The protocol point that failed.
-    pub protocol: Protocol,
+    /// The machine the trace fails on; a [`Checker`] built from it
+    /// replays the failure.
+    pub config: CheckerConfig,
     /// The (minimal, if shrunk) failing trace.
     pub trace: Trace,
     /// The invariant the trace breaks.
@@ -37,10 +40,9 @@ pub struct Counterexample {
 /// Bounds for one exhaustive exploration.
 #[derive(Clone, Debug)]
 pub struct ExploreConfig {
-    /// The protocol point to explore.
-    pub protocol: Protocol,
-    /// Nodes in the configuration (alphabet factor).
-    pub nodes: u16,
+    /// The machine every trace runs on: protocol, nodes, cache,
+    /// directory, engine and spec. Its nodes are an alphabet factor.
+    pub checker: CheckerConfig,
     /// Blocks in the configuration (alphabet factor).
     pub blocks: u64,
     /// Maximum trace length (tree depth).
@@ -49,26 +51,18 @@ pub struct ExploreConfig {
     pub max_states: u64,
     /// Abort on a wall-clock budget (`complete` turns false).
     pub time_budget: Option<Duration>,
-    /// Drive the fast hot-path engine instead of the reference
-    /// `DirectoryEngine` under every checker.
-    pub fast_engine: bool,
-    /// Directory sharer-set representation every checker runs under.
-    pub directory: mcc_core::DirectoryRepr,
 }
 
 impl ExploreConfig {
-    /// The CI configuration: 2 nodes, 1 block, traces up to length 8,
-    /// no state or time cap.
+    /// The CI configuration: 2 nodes with infinite caches, 1 block,
+    /// traces up to length 8, no state or time cap.
     pub fn new(protocol: Protocol) -> ExploreConfig {
         ExploreConfig {
-            protocol,
-            nodes: 2,
+            checker: CheckerConfig::new(protocol, 2),
             blocks: 1,
             max_len: 8,
             max_states: u64::MAX,
             time_budget: None,
-            fast_engine: false,
-            directory: mcc_core::DirectoryRepr::FullMap,
         }
     }
 }
@@ -97,7 +91,7 @@ struct Search {
 /// Exhaustively explores every trace of length ≤ `config.max_len`.
 pub fn explore(config: &ExploreConfig) -> ExploreOutcome {
     let mut alphabet = Vec::new();
-    for node in 0..config.nodes {
+    for node in 0..config.checker.nodes {
         for block in 0..config.blocks {
             for op in [MemOp::Read, MemOp::Write] {
                 alphabet.push(MemRef::new(
@@ -116,13 +110,10 @@ pub fn explore(config: &ExploreConfig) -> ExploreOutcome {
         states: 0,
         truncated: false,
     };
-    let mut cc = CheckerConfig::new(config.protocol, config.nodes);
-    cc.fast_engine = config.fast_engine;
-    cc.directory = config.directory;
-    let root = Checker::new(&cc);
+    let root = Checker::new(&config.checker);
     let mut path = Vec::with_capacity(config.max_len);
     let violation = dfs(&root, &mut path, &mut search).map(|(trace, violation)| Counterexample {
-        protocol: config.protocol,
+        config: config.checker.clone(),
         trace,
         violation,
     });

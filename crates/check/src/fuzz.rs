@@ -13,27 +13,29 @@
 //!   counts must agree exactly (hits, misses, upgrade transactions,
 //!   copies invalidated);
 //! * the **off-line oracle bound**: for an adaptive protocol on a
-//!   fault-free, capacity-free run, each block's migrations are
-//!   bounded by `hints + demotions + 1`, where `hints` counts the
-//!   read-miss positions [`migrate_hints`]
-//!   marks profitable. Every *unhinted* migration leaves behind a
-//!   clean single copy whose next foreign access demotes the block
-//!   before it can migrate again — so unhinted migrations are paid for
-//!   by demotions, plus one for a final migration nothing follows.
+//!   fault-free machine with infinite caches, each block's migrations
+//!   are bounded by `hints + demotions + 1`, where `hints` counts the
+//!   read-miss positions [`migrate_hints`] marks profitable. Every
+//!   *unhinted* migration leaves behind a clean single copy whose next
+//!   foreign access demotes the block before it can migrate again — so
+//!   unhinted migrations are paid for by demotions, plus one for a
+//!   final migration nothing follows.
 //!   (The naive per-position inclusion "adaptive migrates ⊆ hinted
 //!   positions" is *not* sound — hysteresis legitimately migrates at
 //!   the last access of a run, where the hint is false — see
 //!   DESIGN.md §11.)
 //!
 //! Any violation is [shrunk](fn@crate::shrink) to a minimal
-//! counterexample. With `broken_demotion_spec` set, the checker's
-//! specification is built with the planted demotion bug, turning the
-//! fuzzer on itself: it must find and minimize the divergence.
+//! counterexample. On a machine whose `spec_demotion_enabled` is off,
+//! the checker's specification is built with the planted demotion bug,
+//! turning the fuzzer on itself: it must find and minimize the
+//! divergence.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use mcc_core::{migrate_hints, DirectorySim, DirectorySimConfig, PlacementPolicy, Protocol};
+use mcc_cache::CacheConfig;
+use mcc_core::{migrate_hints, DirectorySim, Protocol};
 use mcc_snoop::{BusSim, BusSimConfig, SnoopProtocol};
 use mcc_trace::{Addr, MemRef, NodeId, Trace};
 
@@ -47,6 +49,9 @@ const SHRINK_ATTEMPTS: u64 = 20_000;
 /// Configuration for a fuzzing run.
 #[derive(Clone, Debug)]
 pub struct FuzzConfig {
+    /// The machine every case runs on, with its protocol replaced by
+    /// each of `protocols` in turn. Its nodes are the generator's.
+    pub checker: CheckerConfig,
     /// Protocol points to check each case against.
     pub protocols: Vec<Protocol>,
     /// Master seed; every derived stream is a deterministic function
@@ -56,36 +61,24 @@ pub struct FuzzConfig {
     pub cases: u64,
     /// References per trace.
     pub trace_len: usize,
-    /// Nodes per configuration.
-    pub nodes: u16,
     /// Blocks the generator draws from.
     pub blocks: u64,
-    /// Build every checker's specification with the planted
-    /// missing-demotion bug (fixture mode: violations are expected).
-    pub broken_demotion_spec: bool,
-    /// Drive the fast hot-path engine instead of the reference
-    /// `DirectoryEngine` under every checker.
-    pub fast_engine: bool,
     /// Stop starting new cases after this wall-clock budget.
     pub time_budget: Option<Duration>,
-    /// Directory sharer-set representation every checker runs under.
-    pub directory: mcc_core::DirectoryRepr,
 }
 
 impl FuzzConfig {
-    /// A small default campaign over the standard protocol points.
+    /// A small default campaign over the standard protocol points, on
+    /// 4 nodes with infinite caches.
     pub fn new(seed: u64) -> FuzzConfig {
         FuzzConfig {
+            checker: CheckerConfig::new(Protocol::Conventional, 4),
             protocols: crate::protocol_points(),
             seed,
             cases: 8,
             trace_len: 400,
-            nodes: 4,
             blocks: 6,
-            broken_demotion_spec: false,
-            fast_engine: false,
             time_budget: None,
-            directory: mcc_core::DirectoryRepr::FullMap,
         }
     }
 }
@@ -123,16 +116,15 @@ pub fn fuzz(config: &FuzzConfig) -> FuzzReport {
         report.cases_run += 1;
         for &protocol in &config.protocols {
             report.refs_checked += trace.len() as u64;
-            if let Some(cx) = check_case(protocol, &trace, config) {
-                report.counterexamples.push(cx);
-            }
-        }
-        if let Some(v) = differential_violation(&trace, config.nodes) {
             report
                 .counterexamples
-                .push(minimize(Protocol::Conventional, &trace, v, &|t| {
-                    differential_violation(t, config.nodes)
-                }));
+                .extend(check_case(protocol, &trace, config));
+        }
+        let differential = |t: &Trace| differential_violation(t, config.checker.nodes);
+        if let Some(v) = differential(&trace) {
+            let conventional = CheckerConfig::new(Protocol::Conventional, config.checker.nodes);
+            let cx = minimize(conventional, &trace, v, &differential);
+            report.counterexamples.push(cx);
         }
     }
     report
@@ -143,7 +135,7 @@ pub fn fuzz(config: &FuzzConfig) -> FuzzReport {
 fn random_trace(rng: &mut mcc_prng::SplitMix64, config: &FuzzConfig) -> Trace {
     let mut refs = Vec::with_capacity(config.trace_len);
     while refs.len() < config.trace_len {
-        let node = NodeId::new(rng.gen_range(0..u64::from(config.nodes)) as u16);
+        let node = NodeId::new(rng.gen_range(0..u64::from(config.checker.nodes)) as u16);
         let block = rng.gen_range(0..config.blocks);
         let addr = Addr::new(block * CHECK_BLOCK_SIZE.bytes());
         if rng.chance_ppm(400_000) {
@@ -163,35 +155,35 @@ fn random_trace(rng: &mut mcc_prng::SplitMix64, config: &FuzzConfig) -> Trace {
 /// Runs one (protocol, trace) pair through the lockstep checker plus
 /// the oracle bound, minimizing any violation.
 fn check_case(protocol: Protocol, trace: &Trace, config: &FuzzConfig) -> Option<Counterexample> {
-    let predicate = move |t: &Trace| -> Option<CheckViolation> {
-        let mut cc = CheckerConfig::new(protocol, config.nodes);
-        cc.spec_demotion_enabled = !config.broken_demotion_spec;
-        cc.fast_engine = config.fast_engine;
-        cc.directory = config.directory;
-        let mut checker = Checker::new(&cc);
+    let machine = CheckerConfig {
+        protocol,
+        ..config.checker.clone()
+    };
+    let predicate = |t: &Trace| -> Option<CheckViolation> {
+        let mut checker = Checker::new(&machine);
         for r in t.iter() {
             if let Err(v) = checker.check_step(*r) {
                 return Some(v);
             }
         }
-        if let Err(v) = oracle_bound_violation(&checker, protocol, t) {
+        if let Err(v) = oracle_bound_violation(&checker, &machine, t) {
             return Some(v);
         }
         checker.finish().err()
     };
     let violation = predicate(trace)?;
-    Some(minimize(protocol, trace, violation, &predicate))
+    Some(minimize(machine.clone(), trace, violation, &predicate))
 }
 
 fn minimize(
-    protocol: Protocol,
+    config: CheckerConfig,
     trace: &Trace,
     violation: CheckViolation,
     predicate: &dyn Fn(&Trace) -> Option<CheckViolation>,
 ) -> Counterexample {
     let shrunk = shrink(trace, violation, predicate, SHRINK_ATTEMPTS);
     Counterexample {
-        protocol,
+        config,
         trace: shrunk.trace,
         violation: shrunk.violation,
     }
@@ -202,12 +194,14 @@ fn minimize(
 /// event stream.
 fn oracle_bound_violation(
     checker: &Checker,
-    protocol: Protocol,
+    config: &CheckerConfig,
     trace: &Trace,
 ) -> Result<(), CheckViolation> {
-    if protocol.policy().is_none() {
+    if config.protocol.policy().is_none() || config.cache != CacheConfig::Infinite {
         // Pure-migratory has no classifier and migrates unboundedly by
-        // design; conventional never migrates.
+        // design; conventional never migrates. A finite cache turns
+        // re-reads into misses the off-line hints never see: `P0 R a,
+        // P0 R b, P0 R a` migrates `a` twice through a one-line cache.
         return Ok(());
     }
     let hints = migrate_hints(trace, CHECK_BLOCK_SIZE);
@@ -244,15 +238,12 @@ fn oracle_bound_violation(
 
 /// Directory (conventional) vs. snoop (MESI) differential: both are
 /// write-invalidate with replicate-on-read-miss, so with capacity-free
-/// caches their per-class counts must agree exactly.
+/// caches their per-class counts must agree exactly. The directory side
+/// runs on [`CheckerConfig::new`]'s machine for the conventional
+/// protocol.
 pub fn differential_violation(trace: &Trace, nodes: u16) -> Option<CheckViolation> {
-    let dir_config = DirectorySimConfig {
-        nodes,
-        block_size: CHECK_BLOCK_SIZE,
-        placement: PlacementPolicy::RoundRobin,
-        ..DirectorySimConfig::default()
-    };
-    let dir = match DirectorySim::new(Protocol::Conventional, &dir_config).try_run(trace) {
+    let machine = CheckerConfig::new(Protocol::Conventional, nodes);
+    let dir = match DirectorySim::new(machine.protocol, &machine.sim_config()).try_run(trace) {
         Ok(result) => result,
         Err(e) => {
             return Some(CheckViolation {
@@ -313,17 +304,24 @@ mod tests {
 
     #[test]
     fn clean_campaign_finds_nothing() {
-        let mut config = FuzzConfig::new(0xfeed_beef);
-        config.cases = 3;
-        config.trace_len = 250;
-        let report = fuzz(&config);
-        assert!(report.complete);
-        assert_eq!(report.cases_run, 3);
-        assert!(
-            report.counterexamples.is_empty(),
-            "unexpected: {}",
-            report.counterexamples[0].violation
-        );
+        // Through a one-line cache, re-reads miss and may migrate: the
+        // oracle bound does not apply there, and every other check must
+        // still pass.
+        let one_line = mcc_cache::CacheGeometry::new(16, CHECK_BLOCK_SIZE, 1).unwrap();
+        for cache in [CacheConfig::Infinite, CacheConfig::Finite(one_line)] {
+            let mut config = FuzzConfig::new(0xfeed_beef);
+            config.checker.cache = cache;
+            config.cases = 3;
+            config.trace_len = 250;
+            let report = fuzz(&config);
+            assert!(report.complete);
+            assert_eq!(report.cases_run, 3);
+            assert!(
+                report.counterexamples.is_empty(),
+                "{cache:?}: {}",
+                report.counterexamples[0].violation
+            );
+        }
     }
 
     #[test]
@@ -332,7 +330,7 @@ mod tests {
         config.cases = 2;
         config.trace_len = 300;
         config.protocols = vec![Protocol::Aggressive];
-        config.broken_demotion_spec = true;
+        config.checker.spec_demotion_enabled = false;
         let report = fuzz(&config);
         assert!(!report.counterexamples.is_empty(), "bug must be found");
         for cx in &report.counterexamples {
@@ -359,7 +357,7 @@ mod tests {
         config.cases = 2;
         config.trace_len = 120;
         config.protocols = vec![Protocol::Basic];
-        config.broken_demotion_spec = true;
+        config.checker.spec_demotion_enabled = false;
         let a = fuzz(&config);
         let b = fuzz(&config);
         let key = |r: &FuzzReport| -> Vec<(String, Vec<MemRef>)> {

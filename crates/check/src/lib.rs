@@ -20,7 +20,8 @@
 //!   the demotion rule.
 //! * [`explore`](mod@explore) — exhaustive bounded exploration: every trace of
 //!   length ≤ L over a small alphabet (nodes × blocks × read/write),
-//!   checked step by step.
+//!   checked step by step on one [`CheckerConfig`] machine, finite
+//!   caches included.
 //! * [`fuzz`](mod@fuzz) — long seeded random traces, a directory-vs-snoop
 //!   differential on the counts both models must share, and the
 //!   off-line oracle bound.

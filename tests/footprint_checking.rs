@@ -153,7 +153,10 @@ fn explore_both(
 #[test]
 fn footprint_and_full_modes_agree_on_every_short_trace_over_two_blocks() {
     // 2 nodes x 2 blocks x read/write: a footprint of one block in a
-    // machine of two, through every trace of length <= 5.
+    // machine of two, through every trace of length <= 5, with infinite
+    // caches and through a one-set, one-way cache, where a node's
+    // second block evicts its first. The full mode checks the whole
+    // machine after every step.
     let mut alphabet = Vec::new();
     for node in 0..2 {
         for block in 0..2 {
@@ -163,11 +166,19 @@ fn footprint_and_full_modes_agree_on_every_short_trace_over_two_blocks() {
         }
     }
     const STATES: u64 = 8 + 64 + 512 + 4096 + 32768;
+    let one_line = CacheGeometry::new(16, CHECK_BLOCK_SIZE, 1).expect("one set of one way");
+    // A finite cache runs on the reference engine whichever is asked for.
+    let machines = [
+        (CacheConfig::Infinite, false),
+        (CacheConfig::Infinite, true),
+        (CacheConfig::Finite(one_line), false),
+    ];
     let mut cut_short = 0;
     for protocol in protocol_points() {
-        for fast_engine in [false, true] {
+        for (cache, fast_engine) in machines {
             for demotion in [true, false] {
                 let mut config = CheckerConfig::new(protocol, 2);
+                config.cache = cache;
                 config.fast_engine = fast_engine;
                 config.spec_demotion_enabled = demotion;
                 let root = Checker::new(&config);

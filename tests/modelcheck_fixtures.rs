@@ -1,12 +1,14 @@
 //! End-to-end fixtures for the model checker and fuzzer: the bounded
 //! exhaustive sweep must pass clean for every standard protocol point,
-//! and the planted-bug spec (demotion disabled) must be found, shrunk
+//! with infinite caches and through a one-line cache, and the
+//! planted-bug spec (demotion disabled) must be found, shrunk
 //! to a handful of records, reproduced deterministically per seed, and
 //! survive an `.mcct` write→read round trip as a replayable repro.
 
+use mcc_cache::{CacheConfig, CacheGeometry};
 use mcc_check::{
     explore, fuzz, protocol_points, protocol_slug, Checker, CheckerConfig, ExploreConfig,
-    FuzzConfig,
+    FuzzConfig, CHECK_BLOCK_SIZE,
 };
 use mcc_core::Protocol;
 use mcc_trace::Trace;
@@ -37,10 +39,36 @@ fn bounded_exhaustive_sweep_is_clean_through_the_fast_engine() {
     for protocol in protocol_points() {
         let mut config = ExploreConfig::new(protocol);
         config.max_len = 7;
-        config.fast_engine = true;
+        config.checker.fast_engine = true;
         let out = explore(&config);
         assert!(out.complete, "{} sweep truncated", protocol_slug(protocol));
         assert_eq!(out.states, 4 + 16 + 64 + 256 + 1024 + 4096 + 16384);
+        assert!(
+            out.violation.is_none(),
+            "{}: {}",
+            protocol_slug(protocol),
+            out.violation.unwrap().violation
+        );
+    }
+}
+
+#[test]
+fn bounded_exhaustive_sweep_is_clean_under_a_one_line_cache() {
+    // Every trace of length <= 4 over 3 nodes x 2 blocks, through a
+    // one-set, one-way cache: a node's second block evicts its first,
+    // so paths run the uncached-interval rules (write-back, drop
+    // notification, remember-when-uncached) that infinite caches never
+    // reach.
+    let one_line = CacheGeometry::new(16, CHECK_BLOCK_SIZE, 1).expect("one set of one way");
+    for protocol in protocol_points() {
+        let mut config = ExploreConfig::new(protocol);
+        config.checker.nodes = 3;
+        config.checker.cache = CacheConfig::Finite(one_line);
+        config.blocks = 2;
+        config.max_len = 4;
+        let out = explore(&config);
+        assert!(out.complete, "{} sweep truncated", protocol_slug(protocol));
+        assert_eq!(out.states, 12 + 144 + 1728 + 20736);
         assert!(
             out.violation.is_none(),
             "{}: {}",
@@ -59,10 +87,10 @@ fn planted_demotion_bug_is_found_through_the_fast_engine() {
     config.cases = 2;
     config.trace_len = 300;
     config.protocols = vec![Protocol::Aggressive];
-    config.broken_demotion_spec = true;
+    config.checker.spec_demotion_enabled = false;
 
     let reference = fuzz(&config);
-    config.fast_engine = true;
+    config.checker.fast_engine = true;
     let fast = fuzz(&config);
     assert!(
         !fast.counterexamples.is_empty(),
@@ -81,7 +109,7 @@ fn planted_demotion_bug_is_found_shrunk_and_replayable() {
     config.cases = 2;
     config.trace_len = 300;
     config.protocols = vec![Protocol::Aggressive];
-    config.broken_demotion_spec = true;
+    config.checker.spec_demotion_enabled = false;
 
     let report = fuzz(&config);
     assert!(
@@ -105,21 +133,22 @@ fn planted_demotion_bug_is_found_shrunk_and_replayable() {
     }
 
     // The .mcct round trip: the written repro replays to the same
-    // violation against the broken spec, and passes against the
-    // correct one.
+    // violation on the machine it was found on, and passes against the
+    // correct spec.
     let mut bytes = Vec::new();
     cx.trace.write_to(&mut bytes).expect("serialize repro");
     let replayed = Trace::read_from(&bytes[..]).expect("parse repro");
     assert_eq!(replayed.as_slice(), cx.trace.as_slice());
 
-    let mut broken = CheckerConfig::new(Protocol::Aggressive, config.nodes);
-    broken.spec_demotion_enabled = false;
-    let violation = Checker::new(&broken)
+    let violation = Checker::new(&cx.config)
         .run(&replayed)
         .expect_err("replayed repro must still fail the broken spec");
     assert_eq!(violation.invariant, cx.violation.invariant);
 
-    let clean = CheckerConfig::new(Protocol::Aggressive, config.nodes);
+    let clean = CheckerConfig {
+        spec_demotion_enabled: true,
+        ..cx.config.clone()
+    };
     Checker::new(&clean)
         .run(&replayed)
         .expect("the repro is a spec bug, not an engine bug");

@@ -98,7 +98,7 @@ fn exhaustive_l8_sweep_is_clean_for_every_repr_at_every_protocol_point() {
     for protocol in protocol_points() {
         for repr in repr_points() {
             let mut config = ExploreConfig::new(protocol);
-            config.directory = repr;
+            config.checker.directory = repr;
             let out = explore(&config);
             assert!(
                 out.complete,
@@ -263,7 +263,7 @@ fn seeded_fuzz_is_clean_on_every_repr() {
         let mut config = mcc_check::FuzzConfig::new(0x5ca1e);
         config.cases = 1;
         config.trace_len = 300;
-        config.directory = repr;
+        config.checker.directory = repr;
         let report = mcc_check::fuzz(&config);
         assert!(report.complete);
         assert!(
