@@ -4,13 +4,16 @@
 //!
 //! Usage: `golden_dump [--directory R]` — `R` is a representation slug
 //! (`full-map`, `dirNb`, `cvR`, `dirNcvR`); the default sweeps every
-//! representation the golden test pins.
+//! representation the golden test pins, then the full map through the
+//! paper's 4 KB caches, the table the finite-cache goldens pin.
 
 use std::process::exit;
 
 use mcc_bench::args::Flags;
+use mcc_cache::{CacheConfig, CacheGeometry};
 use mcc_check::parse_directory_repr;
 use mcc_core::{DirectoryRepr, DirectorySim, DirectorySimConfig, Protocol};
+use mcc_trace::BlockSize;
 use mcc_workloads::{Workload, WorkloadParams};
 
 fn main() {
@@ -20,9 +23,13 @@ fn main() {
         DirectoryRepr::LimitedPointer { pointers: 4 },
         DirectoryRepr::CoarseVector { region_size: 4 },
     ];
+    let mut finite = true;
     while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
-            "--directory" => reprs = vec![flags.value_with(parse_directory_repr)],
+            "--directory" => {
+                reprs = vec![flags.value_with(parse_directory_repr)];
+                finite = false;
+            }
             "--help" | "-h" => {
                 println!("usage: golden_dump [--directory R]");
                 exit(0);
@@ -31,12 +38,27 @@ fn main() {
         }
     }
     let params = WorkloadParams::new(16).scale(0.1).seed(42);
-    for directory in reprs {
-        println!("    // {directory}");
+    let mut tables: Vec<(String, DirectorySimConfig)> = reprs
+        .into_iter()
+        .map(|directory| {
+            let cfg = DirectorySimConfig {
+                directory,
+                ..DirectorySimConfig::default()
+            };
+            (directory.to_string(), cfg)
+        })
+        .collect();
+    if finite {
+        let geometry = CacheGeometry::paper_default(4 * 1024, BlockSize::B16)
+            .expect("the paper's 4 KB geometry is valid");
         let cfg = DirectorySimConfig {
-            directory,
+            cache: CacheConfig::Finite(geometry),
             ..DirectorySimConfig::default()
         };
+        tables.push(("full-map, 4 KB 4-way caches".to_string(), cfg));
+    }
+    for (label, cfg) in tables {
+        println!("    // {label}");
         for app in Workload::ALL {
             let trace = app.generate(&params);
             print!("        (Workload::{:?}, {}", app, trace.len());

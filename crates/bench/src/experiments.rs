@@ -77,7 +77,8 @@ impl RunOptions {
     }
 }
 
-/// Runs `protocol` over `trace`, routing through the address-sharded
+/// Runs `protocol` over `trace` on `DirectorySim`'s default engine, the
+/// fast one, routing through the address-sharded
 /// parallel engine when more than one shard is requested and the
 /// configuration supports it (infinite caches). Finite-cache
 /// configurations cannot shard — an insertion may evict a block owned

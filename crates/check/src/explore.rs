@@ -131,10 +131,10 @@ fn dfs(
 ) -> Option<(Trace, CheckViolation)> {
     // Where a trace ends, at a leaf or where a cap cuts the search
     // short, its last steps get the checks over every block that a
-    // replay's `finish` would run: a step's own checks cover only its
-    // footprint unless its number is a power of two.
+    // replay's `finish` would run, unless the last step's own checks
+    // covered every block already.
     let ended = |path: &[MemRef]| {
-        if checker.steps().is_power_of_two() {
+        if checker.world_verified() {
             return None;
         }
         let violation = checker.check_world().err()?;

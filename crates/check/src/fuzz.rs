@@ -240,10 +240,12 @@ fn oracle_bound_violation(
 /// write-invalidate with replicate-on-read-miss, so with capacity-free
 /// caches their per-class counts must agree exactly. The directory side
 /// runs on [`CheckerConfig::new`]'s machine for the conventional
-/// protocol.
+/// protocol, its engine included.
 pub fn differential_violation(trace: &Trace, nodes: u16) -> Option<CheckViolation> {
     let machine = CheckerConfig::new(Protocol::Conventional, nodes);
-    let dir = match DirectorySim::new(machine.protocol, &machine.sim_config()).try_run(trace) {
+    let sim =
+        DirectorySim::new(machine.protocol, &machine.sim_config()).with_engine(machine.engine());
+    let dir = match sim.try_run(trace) {
         Ok(result) => result,
         Err(e) => {
             return Some(CheckViolation {

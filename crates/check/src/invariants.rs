@@ -36,7 +36,8 @@
 //! write either engine makes in a step lands in its footprint, and
 //! every other block was verified when it last changed, so the
 //! footprint holds any violation the step can make; it is checked
-//! before the step and again after it. The checks over every block
+//! before the step, less what the previous step's checks verified with
+//! no step since, and again after it. The checks over every block
 //! ([`Checker::check_world`]) run at steps that are powers of two and
 //! in [`Checker::finish`], so a replay costs time linear in its length.
 
@@ -147,9 +148,8 @@ pub struct CheckerConfig {
     /// disabled — the planted bug the fuzzer fixtures hunt.
     pub spec_demotion_enabled: bool,
     /// When `true`, the checker drives the fast hot-path engine
-    /// instead of the reference `DirectoryEngine` (finite-cache
-    /// configurations fall back to the reference engine, which is the
-    /// only one modelling geometry).
+    /// instead of the reference `DirectoryEngine`, finite caches
+    /// included.
     pub fast_engine: bool,
     /// Directory sharer-set representation under check. Residency,
     /// classification, and every other invariant are
@@ -186,6 +186,15 @@ impl CheckerConfig {
             directory: self.directory,
         }
     }
+
+    /// The engine a checker drives: the reference engine unless
+    /// [`CheckerConfig::fast_engine`] asks for the fast one.
+    pub(crate) fn engine(&self) -> EngineKind {
+        match self.fast_engine {
+            true => EngineKind::Fast,
+            false => EngineKind::Reference,
+        }
+    }
 }
 
 /// The block size every checker runs at (one block = 16 bytes, so
@@ -216,6 +225,11 @@ pub struct Checker {
     promotes: u64,
     demotes: u64,
     steps: u64,
+    /// What the last step's own checks verified, in ascending order:
+    /// its footprint, or every block (`None`) at a power-of-two step.
+    /// Nothing has stepped since, so the next step's pre-step checks
+    /// skip it.
+    last_verified: Option<Vec<BlockAddr>>,
 }
 
 impl Checker {
@@ -223,13 +237,8 @@ impl Checker {
     /// the machine [`CheckerConfig::sim_config`] names.
     pub fn new(config: &CheckerConfig) -> Checker {
         let (sink, handle) = shared(BufferSink::new());
-        let kind = if config.fast_engine {
-            EngineKind::Fast
-        } else {
-            EngineKind::Reference
-        };
         let engine = AnyEngine::new(
-            kind,
+            config.engine(),
             config.protocol,
             &config.sim_config(),
             PagePlacement::round_robin(config.nodes),
@@ -258,6 +267,7 @@ impl Checker {
             promotes: 0,
             demotes: 0,
             steps: 0,
+            last_verified: Some(Vec::new()),
         }
     }
 
@@ -284,6 +294,7 @@ impl Checker {
             promotes: self.promotes,
             demotes: self.demotes,
             steps: self.steps,
+            last_verified: self.last_verified.clone(),
         }
     }
 
@@ -334,10 +345,14 @@ impl Checker {
         self.steps += 1;
         // What the step may write before an event names it was verified
         // when it last changed; checking it again catches a write an
-        // earlier step made outside its footprint.
+        // earlier step made outside its footprint, unless the previous
+        // step's checks have just verified it.
         let mut footprint = self.reach(r.node, addr);
-        self.sweep(Some(&footprint))?;
-        footprint.iter().try_for_each(|&b| self.check_block(b))?;
+        let unverified: Vec<BlockAddr> = (footprint.iter().copied())
+            .filter(|&b| !self.verified(b))
+            .collect();
+        self.sweep(Some(&unverified))?;
+        unverified.iter().try_for_each(|&b| self.check_block(b))?;
         let pre_entry = self.engine.dir_entry(addr);
 
         let info = self.engine.try_step(r).map_err(|e| {
@@ -415,10 +430,25 @@ impl Checker {
         if info.kind == StepKind::ReadMissMigrate {
             *self.migrations.entry(block).or_insert(0) += 1;
         }
+        self.last_verified = Some(footprint);
         if self.steps.is_power_of_two() {
             self.check_world()?;
+            self.last_verified = None;
         }
         Ok(info)
+    }
+
+    /// Whether the last step's own checks verified `block`.
+    fn verified(&self, block: BlockAddr) -> bool {
+        (self.last_verified.as_ref()).is_none_or(|blocks| blocks.binary_search(&block).is_ok())
+    }
+
+    /// Whether the last step's own checks covered every block: at a
+    /// power-of-two step, or where its footprint held every block the
+    /// spec knows. Where they did, [`Checker::check_world`] would
+    /// repeat them.
+    pub(crate) fn world_verified(&self) -> bool {
+        (self.spec.known_blocks()).all(|b| self.verified(BlockAddr::new(b)))
     }
 
     /// The blocks a reference by `node` to `block` may write that no

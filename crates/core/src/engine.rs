@@ -33,7 +33,6 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use mcc_cache::CacheConfig;
 use mcc_obs::{Event as ObsEvent, Rule, SharedSink};
 use mcc_placement::PagePlacement;
 use mcc_trace::{BlockAddr, BlockSize, MemRef, NodeId};
@@ -480,16 +479,18 @@ fn swept<E: Engine + ?Sized>(
     }
 }
 
-/// Which engine implementation a run uses.
+/// Which engine implementation a run uses. Both model every machine,
+/// finite caches included, bit-exactly alike.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     /// The auditable HashMap-table reference implementation
-    /// ([`DirectoryEngine`](crate::DirectoryEngine)).
-    #[default]
+    /// ([`DirectoryEngine`](crate::DirectoryEngine)): the parity
+    /// oracle, and the engine the live shards, `mcc-check` by default
+    /// and the off-line oracle's hinted stepper run.
     Reference,
-    /// The dense struct-of-arrays hot path ([`FastEngine`]). Requires
-    /// infinite caches; configurations with finite caches silently fall
-    /// back to the reference engine.
+    /// The dense struct-of-arrays hot path ([`FastEngine`]), and the
+    /// default of [`DirectorySim`](crate::DirectorySim).
+    #[default]
     Fast,
 }
 
@@ -724,12 +725,8 @@ macro_rules! dispatch {
 }
 
 impl AnyEngine {
-    /// Creates an engine of the requested kind.
-    ///
-    /// [`EngineKind::Fast`] requires infinite caches (the dense tables
-    /// model residency per block, not per cache set); configurations
-    /// with finite caches fall back to the reference engine, which is
-    /// always exact.
+    /// Creates an engine of the requested kind on `config`'s machine,
+    /// finite caches included.
     pub fn new(
         kind: EngineKind,
         protocol: Protocol,
@@ -737,15 +734,15 @@ impl AnyEngine {
         placement: PagePlacement,
     ) -> Self {
         match kind {
-            EngineKind::Fast if config.cache == CacheConfig::Infinite => {
-                AnyEngine::Fast(FastEngine::new(protocol, config, placement))
+            EngineKind::Fast => AnyEngine::Fast(FastEngine::new(protocol, config, placement)),
+            EngineKind::Reference => {
+                AnyEngine::Reference(DirectoryEngine::new(protocol, config, placement))
             }
-            _ => AnyEngine::Reference(DirectoryEngine::new(protocol, config, placement)),
         }
     }
 
-    /// Which implementation this engine actually runs (after any
-    /// finite-cache fallback).
+    /// Which implementation this engine runs: the kind it was built or
+    /// restored as.
     pub fn kind(&self) -> EngineKind {
         match self {
             AnyEngine::Reference(_) => EngineKind::Reference,
@@ -753,8 +750,7 @@ impl AnyEngine {
         }
     }
 
-    /// Rebuilds an engine of the requested kind from a snapshot,
-    /// applying the same finite-cache fallback as [`AnyEngine::new`].
+    /// Rebuilds an engine of the requested kind from a snapshot.
     /// Snapshots are engine-agnostic, so the captured and restoring
     /// kinds may differ.
     pub(crate) fn from_snapshot(
@@ -765,14 +761,14 @@ impl AnyEngine {
         placement: PagePlacement,
         faults: Option<FaultPlan>,
     ) -> Result<AnyEngine, String> {
-        match kind {
-            EngineKind::Fast if config.cache == CacheConfig::Infinite => Ok(AnyEngine::Fast(
-                FastEngine::from_snapshot(snap, protocol, config, placement, faults)?,
-            )),
-            _ => Ok(AnyEngine::Reference(DirectoryEngine::from_snapshot(
+        Ok(match kind {
+            EngineKind::Fast => AnyEngine::Fast(FastEngine::from_snapshot(
                 snap, protocol, config, placement, faults,
-            )?)),
-        }
+            )?),
+            EngineKind::Reference => AnyEngine::Reference(DirectoryEngine::from_snapshot(
+                snap, protocol, config, placement, faults,
+            )?),
+        })
     }
 
     /// Subjects every demand transaction to the unreliable-interconnect
@@ -869,7 +865,7 @@ mod tests {
     use crate::checkpoint::Checkpoint;
     use crate::run::RunSpec;
     use crate::sim::DirectorySim;
-    use mcc_cache::CacheGeometry;
+    use mcc_cache::{CacheConfig, CacheGeometry};
     use mcc_trace::{Addr, BlockSize, Trace};
 
     const KINDS: [EngineKind; 2] = [EngineKind::Reference, EngineKind::Fast];
@@ -971,6 +967,51 @@ mod tests {
     }
 
     #[test]
+    fn both_kinds_refuse_a_snapshot_that_overfills_a_set() {
+        let one_set = |ways: u32| DirectorySimConfig {
+            cache: CacheConfig::Finite(
+                CacheGeometry::new(16 * u64::from(ways), BlockSize::B16, ways).unwrap(),
+            ),
+            ..DirectorySimConfig::default()
+        };
+        let (roomy, cramped) = (one_set(4), one_set(2));
+        let placement = PagePlacement::round_robin(roomy.nodes);
+        // Node 1 holds three blocks of its one set.
+        let mut engine = AnyEngine::new(
+            EngineKind::Reference,
+            Protocol::Basic,
+            &roomy,
+            placement.clone(),
+        );
+        for block in 0..3 {
+            engine.step(MemRef::read(NodeId::new(1), Addr::new(block * 16)));
+        }
+        let snap = engine.snapshot();
+        let errors = KINDS.map(|kind| {
+            let fits = AnyEngine::from_snapshot(
+                kind,
+                &snap,
+                Protocol::Basic,
+                &roomy,
+                placement.clone(),
+                None,
+            );
+            assert_eq!(fits.unwrap().snapshot(), snap, "{kind:?}");
+            AnyEngine::from_snapshot(
+                kind,
+                &snap,
+                Protocol::Basic,
+                &cramped,
+                placement.clone(),
+                None,
+            )
+            .unwrap_err()
+        });
+        assert_eq!(errors[0], errors[1]);
+        assert!(errors[0].contains("does not fit"), "{}", errors[0]);
+    }
+
+    #[test]
     fn resuming_a_checkpoint_with_a_phantom_holder_is_a_bad_checkpoint() {
         let trace = handoffs();
         for kind in KINDS {
@@ -1023,30 +1064,30 @@ mod tests {
     }
 
     #[test]
-    fn finite_caches_fall_back_to_the_reference_engine() {
-        let config = DirectorySimConfig {
-            cache: CacheConfig::Finite(CacheGeometry::new(64, BlockSize::B16, 2).unwrap()),
-            ..DirectorySimConfig::default()
-        };
-        let e = AnyEngine::new(
-            EngineKind::Fast,
-            Protocol::Basic,
-            &config,
-            PagePlacement::round_robin(config.nodes),
-        );
-        assert_eq!(e.kind(), EngineKind::Reference);
-    }
-
-    #[test]
-    fn infinite_caches_honour_the_fast_request() {
-        let config = DirectorySimConfig::default();
-        let e = AnyEngine::new(
-            EngineKind::Fast,
-            Protocol::Basic,
-            &config,
-            PagePlacement::round_robin(config.nodes),
-        );
-        assert_eq!(e.kind(), EngineKind::Fast);
+    fn finite_caches_honour_the_fast_request() {
+        let finite = CacheConfig::Finite(CacheGeometry::new(64, BlockSize::B16, 2).unwrap());
+        for cache in [finite, CacheConfig::Infinite] {
+            let config = DirectorySimConfig {
+                cache,
+                ..DirectorySimConfig::default()
+            };
+            let placement = PagePlacement::round_robin(config.nodes);
+            for kind in KINDS {
+                let e = AnyEngine::new(kind, Protocol::Basic, &config, placement.clone());
+                assert_eq!(e.kind(), kind, "{cache:?}");
+                let restored = AnyEngine::from_snapshot(
+                    kind,
+                    &e.snapshot(),
+                    Protocol::Basic,
+                    &config,
+                    placement.clone(),
+                    None,
+                );
+                assert_eq!(restored.unwrap().kind(), kind, "{cache:?}");
+            }
+            let sim = DirectorySim::new(Protocol::Basic, &config);
+            assert_eq!(sim.engine_kind(), EngineKind::Fast, "{cache:?}");
+        }
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! one open-addressing probe per reference instead of three `HashMap`
 //! lookups:
 //!
-//! * `copyset[slot]` — the holder bitset (residency ground truth: with
-//!   infinite caches, a node holds a block iff the directory says so);
+//! * `copyset[slot]` — the holder bitset, which is the residency ground
+//!   truth: a node holds a block iff the directory says so;
 //! * `flags[slot]` — one packed `u32` carrying the directory entry
 //!   (dirty/migratory/overflowed bits, copies-created counter,
 //!   hysteresis evidence, last invalidator) plus the single-holder line
@@ -17,13 +17,26 @@
 //! * `line_version[slot]` / `mem_version[slot]` / `latest[slot]` — the
 //!   coherence checker's version slots.
 //!
-//! One `line_version` per block is exact because infinite caches make
-//! all simultaneous holders carry the same version in any non-erroring
-//! run: a write invalidates every other copy, and every service path
-//! checks the served version against the latest write. The single-slot
+//! One `line_version` per block is exact because all simultaneous
+//! holders carry the same version in any non-erroring run: a write
+//! invalidates every other copy, and every service path checks the
+//! served version against the latest write. The single-slot
 //! representation also collapses per-node line state: multiple holders
 //! are all `Shared`; a single holder's state is stored in two flag
 //! bits.
+//!
+//! Finite caches add one more dense table, per node `sets × ways` rows
+//! of (slot, last-use stamp). A hit stamps its row, an invalidated
+//! holder's row is cleared, and an insert into a full set evicts the
+//! row with the smallest stamp through the reference engine's eviction
+//! rule, in its order: the §3.3 eviction charge, the write-back or
+//! clean drop, [`DirEntry::on_copy_dropped`] and its `CopyDropped`
+//! reclassification. Every eviction notifies the directory, so the copy
+//! set stays the residency and both collapses still hold: an evicted
+//! copy leaves the other holders' one version and their `Shared` state
+//! as they were. The rows decide only which line a full set evicts and
+//! the order a snapshot lists a node's lines in, least recently used
+//! first, as the reference engine's caches list them.
 //!
 //! The engine implements [`Engine`] directly, and writes only what its
 //! dense rows need: the tables, the Figure 3 transitions (`hit`/`miss`),
@@ -35,14 +48,11 @@
 //! the transition it describes happens, exactly as the reference engine
 //! does; fault delivery goes through the same [`TransactionShape`] rule
 //! and [`FaultInjector`](crate::FaultInjector) delivery loop.
-//!
-//! The engine requires [`CacheConfig::Infinite`](mcc_cache::CacheConfig)
-//! — dense tables model residency per block, not per cache set —
-//! which [`AnyEngine::new`](crate::AnyEngine::new) enforces by falling
-//! back to the reference engine for finite caches.
 
+use mcc_cache::CacheConfig;
 use mcc_obs::{Rule, SharedSink};
 use mcc_placement::PagePlacement;
+use mcc_prng::mix;
 use mcc_trace::{BlockAddr, MemOp, MemRef, NodeId};
 
 use crate::checkpoint::EngineSnapshot;
@@ -50,7 +60,7 @@ use crate::directory::{CopiesCreated, CopySet, DirEntry, ReadMissAction, Reclass
 use crate::engine::{BlockRow, Engine, Frame};
 use crate::error::{SimError, Violation, ViolationKind};
 use crate::faults::{FaultPlan, TransactionShape};
-use crate::msg::{charge, OpKind};
+use crate::msg::{charge, charge_eviction, OpKind};
 use crate::policy::Protocol;
 use crate::result::{EventCounts, MessageBreakdown, SimResult};
 use crate::sim::{DirectorySimConfig, LineState, StepInfo, StepKind};
@@ -110,13 +120,117 @@ const fn created_decode(bits: u32) -> CopiesCreated {
     }
 }
 
-/// SplitMix64 finalizer: the block-index hash for the open-addressing
-/// table. Full-avalanche, so sequential block indices scatter evenly.
-const fn mix(key: u64) -> u64 {
-    let mut z = key.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+/// The slot a free way of a finite cache holds.
+const FREE: u32 = u32::MAX;
+
+/// A finite cache's replacement state at every node: per node,
+/// `sets × ways` dense rows of (slot, last-use stamp), [`FREE`] in a
+/// way no line occupies. Empty under infinite caches, which never
+/// evict; every method is then a no-op.
+#[derive(Clone, Debug, Default)]
+struct CacheRows {
+    /// Ways per set; 0 under infinite caches.
+    ways: usize,
+    /// `sets - 1`: the set count is a power of two.
+    set_mask: u64,
+    /// Rows per node (`sets × ways`).
+    per_node: usize,
+    slot: Vec<u32>,
+    stamp: Vec<u64>,
+    /// Advanced by every touch and insert, as each reference-engine
+    /// cache's LRU clock is. One clock for every node orders each node's
+    /// lines as its own clock would.
+    clock: u64,
+}
+
+impl CacheRows {
+    fn new(cache: CacheConfig, nodes: u16) -> CacheRows {
+        let CacheConfig::Finite(geometry) = cache else {
+            return CacheRows::default();
+        };
+        let per_node = geometry.blocks() as usize;
+        let rows = per_node * usize::from(nodes);
+        CacheRows {
+            ways: geometry.associativity() as usize,
+            set_mask: geometry.sets() - 1,
+            per_node,
+            slot: vec![FREE; rows],
+            stamp: vec![0; rows],
+            clock: 0,
+        }
+    }
+
+    /// The rows of `block`'s set at `node`.
+    #[inline]
+    fn set(&self, node: NodeId, block: BlockAddr) -> std::ops::Range<usize> {
+        let set = (block.index() & self.set_mask) as usize;
+        let start = node.index() * self.per_node + set * self.ways;
+        start..start + self.ways
+    }
+
+    /// The row holding `slot`'s line at `node`, if any.
+    #[inline]
+    fn find(&self, node: NodeId, block: BlockAddr, slot: usize) -> Option<usize> {
+        self.set(node, block)
+            .find(|&row| self.slot[row] == slot as u32)
+    }
+
+    /// Marks `slot`'s line at `node` most recently used.
+    #[inline]
+    fn touch(&mut self, node: NodeId, block: BlockAddr, slot: usize) {
+        if self.ways == 0 {
+            return;
+        }
+        self.clock += 1;
+        if let Some(row) = self.find(node, block, slot) {
+            self.stamp[row] = self.clock;
+        }
+    }
+
+    /// Clears `slot`'s row at `node`, whose copy was invalidated.
+    #[inline]
+    fn remove(&mut self, node: NodeId, block: BlockAddr, slot: usize) {
+        if self.ways == 0 {
+            return;
+        }
+        if let Some(row) = self.find(node, block, slot) {
+            self.slot[row] = FREE;
+        }
+    }
+
+    /// Places `slot`'s line at `node` as most recently used. A full set
+    /// gives up its least recently used line, whose slot comes back.
+    #[inline]
+    fn insert(&mut self, node: NodeId, block: BlockAddr, slot: usize) -> Option<usize> {
+        if self.ways == 0 {
+            return None;
+        }
+        self.clock += 1;
+        let set = self.set(node, block);
+        let (row, victim) = match set.clone().find(|&row| self.slot[row] == FREE) {
+            Some(row) => (row, None),
+            None => {
+                let lru = set
+                    .min_by_key(|&row| self.stamp[row])
+                    .expect("a set has ways");
+                (lru, Some(self.slot[lru] as usize))
+            }
+        };
+        self.slot[row] = slot as u32;
+        self.stamp[row] = self.clock;
+        victim
+    }
+
+    /// The slots resident at `node`, least recently used first.
+    fn lru_first(&self, node: NodeId) -> Vec<usize> {
+        let start = node.index() * self.per_node;
+        let mut lines: Vec<(u64, u32)> = (start..start + self.per_node)
+            .filter(|&row| self.slot[row] != FREE)
+            .map(|row| (self.stamp[row], self.slot[row]))
+            .collect();
+        lines.sort_unstable();
+        lines.into_iter().map(|(_, slot)| slot as usize).collect()
+    }
 }
 
 /// The dense struct-of-arrays hot path behind
@@ -149,11 +263,12 @@ pub struct FastEngine {
     line_version: Vec<u64>,
     mem_version: Vec<u64>,
     latest: Vec<u64>,
+    /// A finite cache's replacement state; empty under infinite caches.
+    cache: CacheRows,
 }
 
 impl FastEngine {
-    /// Creates a fast engine. The caller ([`AnyEngine::new`]
-    /// (crate::AnyEngine::new)) guarantees infinite caches.
+    /// Creates a fast engine of `config`'s machine, its caches included.
     pub(crate) fn new(
         protocol: Protocol,
         config: &DirectorySimConfig,
@@ -172,6 +287,7 @@ impl FastEngine {
             line_version: Vec::new(),
             mem_version: Vec::new(),
             latest: Vec::new(),
+            cache: CacheRows::new(config.cache, config.nodes),
         }
     }
 
@@ -305,8 +421,7 @@ impl FastEngine {
         home: NodeId,
         op: MemOp,
     ) -> Result<StepKind, Violation> {
-        // (The reference engine touches the LRU here; infinite caches
-        // have no replacement state.)
+        self.cache.touch(n, block, slot);
         let state = self.holder_state(slot);
         let version = self.line_version[slot];
         self.observe(slot, block, version, "cache hit")?;
@@ -378,7 +493,7 @@ impl FastEngine {
                             if m == n {
                                 continue;
                             }
-                            self.frame.ledger.invalidated(block, m);
+                            self.invalidate(slot, block, m);
                         }
                         self.frame
                             .ledger
@@ -422,7 +537,7 @@ impl FastEngine {
         // multiple holders are all Shared (clean) by representation.
         let single_dirty =
             copyset_before.single().is_some() && self.holder_state(slot) == LineState::Dirty;
-        Ok(match op {
+        let kind = match op {
             MemOp::Read if self.frame.rwitm => {
                 self.frame.ledger.events.read_misses += 1;
                 self.frame.ledger.events.migrations += 1;
@@ -435,7 +550,7 @@ impl FastEngine {
                         self.mem_version[slot] = v;
                         served_from_owner = Some(v);
                     }
-                    self.frame.ledger.invalidated(block, m);
+                    self.invalidate(slot, block, m);
                 }
                 let served = served_from_owner.unwrap_or(self.mem_version[slot]);
                 self.observe(slot, block, served, "read-with-ownership")?;
@@ -471,7 +586,7 @@ impl FastEngine {
                             if single_dirty {
                                 self.mem_version[slot] = v;
                             }
-                            self.frame.ledger.invalidated(block, owner);
+                            self.invalidate(slot, block, owner);
                             v
                         } else {
                             debug_assert!(copyset_before.is_empty());
@@ -532,7 +647,7 @@ impl FastEngine {
                         self.mem_version[slot] = v;
                         served_from_owner = Some(v);
                     }
-                    self.frame.ledger.invalidated(block, m);
+                    self.invalidate(slot, block, m);
                 }
                 let served = served_from_owner.unwrap_or(self.mem_version[slot]);
                 self.observe(slot, block, served, "write miss")?;
@@ -559,7 +674,50 @@ impl FastEngine {
                 self.line_version[slot] = self.latest[slot];
                 StepKind::WriteMiss
             }
-        })
+        };
+        // Last, as the reference engine inserts the line after the
+        // transaction, its eviction's events after the transaction's.
+        self.insert_line(n, block, slot);
+        Ok(kind)
+    }
+
+    /// Invalidates `node`'s copy of the slot's block: clears its cache
+    /// row, then tallies and emits the invalidation.
+    fn invalidate(&mut self, slot: usize, block: BlockAddr, node: NodeId) {
+        self.cache.remove(node, block, slot);
+        self.frame.ledger.invalidated(block, node);
+    }
+
+    /// Places the slot's line in node `n`'s cache, evicting the least
+    /// recently used line of a full set.
+    #[inline]
+    fn insert_line(&mut self, n: NodeId, block: BlockAddr, slot: usize) {
+        if let Some(victim) = self.cache.insert(n, block, slot) {
+            self.evict(n, victim);
+        }
+    }
+
+    /// Evicts the victim slot's line from node `n`'s cache by the
+    /// reference engine's rule: the §3.3 eviction charge, a dirty victim
+    /// written back or a clean one dropped, and the drop notified to the
+    /// victim's directory entry, which removes `n` from its copy set.
+    #[inline(never)]
+    fn evict(&mut self, n: NodeId, victim: usize) {
+        let dirty = self.holder_state(victim).is_dirty();
+        self.frame.ledger.messages.eviction += charge_eviction(self.home[victim] == n, dirty);
+        if dirty {
+            self.mem_version[victim] = self.line_version[victim];
+            self.frame.ledger.events.writebacks += 1;
+        } else {
+            self.frame.ledger.events.clean_drops += 1;
+        }
+        let mut e = self.entry_at(victim);
+        let rc = e.on_copy_dropped(self.frame.policy, n);
+        self.store_entry(victim, e);
+        let victim_block = self.blocks[victim];
+        self.frame
+            .ledger
+            .reclassified(rc, victim_block, n, Rule::CopyDropped);
     }
 
     fn observe(
@@ -620,7 +778,10 @@ impl FastEngine {
     /// desync, holders that disagree on a version or several holders
     /// that are not all `Shared`; no correct engine produces those, and
     /// the frame's restore refuses them on both engines, so the rows
-    /// never restore such a state inexactly.
+    /// never restore such a state inexactly. A finite cache takes each
+    /// node's lines in the snapshot's order, least recently used first,
+    /// and refuses a set they overfill with the reference engine's
+    /// reason.
     pub(crate) fn from_snapshot(
         snap: &EngineSnapshot,
         protocol: Protocol,
@@ -645,10 +806,16 @@ impl FastEngine {
         // The frame has refused several holders of a block that are not
         // all Shared or disagree on its version, so the dense row's one
         // state and one version hold whichever line sets them last.
-        for &(block, state, version) in snap.caches.iter().flatten() {
-            let slot = engine.ensure_slot(BlockAddr::new(block));
-            engine.set_sstate(slot, state);
-            engine.line_version[slot] = version;
+        for (node, lines) in NodeId::first(engine.frame.nodes).zip(&snap.caches) {
+            for &(block, state, version) in lines {
+                let block = BlockAddr::new(block);
+                let slot = engine.ensure_slot(block);
+                engine.set_sstate(slot, state);
+                engine.line_version[slot] = version;
+                if engine.cache.insert(node, block, slot).is_some() {
+                    return Err("cache snapshot does not fit the configured geometry".to_string());
+                }
+            }
         }
         Ok(engine)
     }
@@ -774,8 +941,9 @@ impl Engine for FastEngine {
     /// same state: directory, memory-version and latest-version rows in
     /// block order (version rows only where the reference engine's maps
     /// would hold a key — every insertion there carries a version ≥ 1),
-    /// cache rows per node in block order (the infinite cache's
-    /// `snapshot_lines` order).
+    /// cache rows per node in `snapshot_lines` order: least recently
+    /// used first under a finite cache, block order under an infinite
+    /// one.
     fn snapshot(&self) -> EngineSnapshot {
         let mut order: Vec<usize> = (0..self.blocks.len()).collect();
         order.sort_unstable_by_key(|&s| self.blocks[s].index());
@@ -786,17 +954,25 @@ impl Engine for FastEngine {
                 .map(|&s| (self.blocks[s].index(), rows[s]))
                 .collect()
         };
-        // One pass over the block-sorted slots, each holder's line
-        // pushed onto its node's row, keeps every row in block order.
-        let mut caches = vec![Vec::new(); usize::from(self.frame.nodes)];
-        for &s in &order {
-            let line = (
+        let line = |s: usize| {
+            (
                 self.blocks[s].index(),
                 self.holder_state(s),
                 self.line_version[s],
-            );
-            for node in self.copyset[s].iter() {
-                caches[node.index()].push(line);
+            )
+        };
+        let mut caches = vec![Vec::new(); usize::from(self.frame.nodes)];
+        if self.cache.ways > 0 {
+            for (node, row) in NodeId::first(self.frame.nodes).zip(&mut caches) {
+                *row = self.cache.lru_first(node).into_iter().map(line).collect();
+            }
+        } else {
+            // One pass over the block-sorted slots, each holder's line
+            // pushed onto its node's row, keeps every row in block order.
+            for &s in &order {
+                for node in self.copyset[s].iter() {
+                    caches[node.index()].push(line(s));
+                }
             }
         }
         EngineSnapshot {

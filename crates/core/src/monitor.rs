@@ -17,10 +17,14 @@
 //! sweep catches a stale copy *while it sits in a cache*, before
 //! anything touches it. The high-water table is keyed by block: the
 //! block is the one key both engines' rows carry, since only the fast
-//! engine has slots.
+//! engine has slots. A sweep looks up every resident line's block, so
+//! the table hashes it with [`mix`], the hash the fast engine's block
+//! index uses, rather than SipHash.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
+use mcc_prng::mix;
 use mcc_trace::BlockAddr;
 
 use crate::engine::{check_version, Engine};
@@ -56,7 +60,26 @@ pub struct Monitor {
     checks_run: u64,
     /// Highest latest-write version observed per block across sweeps;
     /// a later sweep seeing a lower value means a write was lost.
-    high_water: HashMap<BlockAddr, u64>,
+    high_water: HashMap<BlockAddr, u64, BuildHasherDefault<BlockHasher>>,
+}
+
+/// Hashes a [`BlockAddr`], which hashes as its index alone, by [`mix`]
+/// of that index.
+#[derive(Default)]
+struct BlockHasher(u64);
+
+impl Hasher for BlockHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write_u64(&mut self, index: u64) {
+        self.0 = mix(self.0 ^ index);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
 }
 
 impl Monitor {
@@ -73,7 +96,7 @@ impl Monitor {
         Monitor {
             every: every.max(1),
             checks_run: 0,
-            high_water: HashMap::new(),
+            high_water: HashMap::default(),
         }
     }
 

@@ -223,13 +223,14 @@ pub struct DirectorySim {
 }
 
 impl DirectorySim {
-    /// Creates a simulation of `protocol` under `config`.
+    /// Creates a simulation of `protocol` under `config`, on the fast
+    /// engine ([`EngineKind::default`]).
     pub fn new(protocol: Protocol, config: &DirectorySimConfig) -> Self {
         DirectorySim {
             protocol,
             config: *config,
             faults: None,
-            engine: EngineKind::Reference,
+            engine: EngineKind::default(),
         }
     }
 
@@ -242,10 +243,10 @@ impl DirectorySim {
     }
 
     /// Selects the engine implementation for the run (the default is
-    /// [`EngineKind::Reference`]). Both implementations are bit-exact
-    /// (see `tests/fast_engine_parity.rs`); [`EngineKind::Fast`] is the
-    /// dense hot path and requires infinite caches — finite-cache
-    /// configurations silently fall back to the reference engine.
+    /// [`EngineKind::Fast`], the dense hot path). Both implementations
+    /// model every machine, finite caches included, and are bit-exact
+    /// (see `tests/fast_engine_parity.rs`); [`EngineKind::Reference`]
+    /// is the auditable one they are checked against.
     ///
     /// The engine kind is a performance knob, not part of a run's
     /// identity: checkpoints taken under one engine resume under the
@@ -255,8 +256,8 @@ impl DirectorySim {
         self
     }
 
-    /// The engine implementation [`with_engine`](Self::with_engine)
-    /// selected (before any finite-cache fallback).
+    /// The engine implementation the run uses: the one
+    /// [`with_engine`](Self::with_engine) selected, or the default.
     pub fn engine_kind(&self) -> EngineKind {
         self.engine
     }

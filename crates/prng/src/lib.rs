@@ -31,6 +31,27 @@
 
 use core::ops::Range;
 
+/// The generator's state increment (the golden-ratio odd constant).
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The SplitMix64 finalizer of `key` advanced by one increment: the
+/// first value `SplitMix64::new(key)` draws. A full-avalanche integer
+/// hash, so sequential keys scatter evenly; the fast engine's block
+/// index and the invariant monitor's high-water table hash blocks with
+/// it.
+///
+/// ```
+/// use mcc_prng::{mix, SplitMix64};
+///
+/// assert_eq!(mix(7), SplitMix64::new(7).next_u64());
+/// ```
+pub const fn mix(key: u64) -> u64 {
+    let mut z = key.wrapping_add(GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// A seeded SplitMix64 pseudo-random number generator.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct SplitMix64 {
@@ -67,11 +88,9 @@ impl SplitMix64 {
 
     /// The next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        let z = mix(self.state);
+        self.state = self.state.wrapping_add(GAMMA);
+        z
     }
 
     /// A uniform draw from `range` (half-open, as written).

@@ -1,18 +1,20 @@
 //! Differential parity: the dense `FastEngine` hot path must be
 //! bit-exact against the reference `DirectoryEngine` — same `StepInfo`
 //! per reference, same message counters, same directory entries, cache
-//! states and version tags, same event stream, same errors, and the
-//! same final `SimResult` — across all nine protocol points, every
-//! placement policy, faulted and fault-free fabrics, sequential and
-//! sharded.
+//! states and version tags, same event stream, same errors, same
+//! snapshots (a finite cache's LRU order included), and the same final
+//! `SimResult` — across all nine protocol points, every placement
+//! policy, infinite and finite caches, faulted and fault-free fabrics,
+//! sequential and sharded.
 //!
 //! The fast engine earns its keep only if "fast" never means
 //! "different": any divergence here is a bug in the hot path, full
 //! stop.
 
+use mcc::cache::{CacheConfig, CacheGeometry};
 use mcc::core::{
     AnyEngine, DirectorySim, DirectorySimConfig, Engine, EngineKind, FaultPlan, PlacementPolicy,
-    Protocol, RunSpec,
+    Protocol, RunSpec, SimResult,
 };
 use mcc::obs::{lock_sink, shared, BufferSink, Event};
 use mcc::placement::PagePlacement;
@@ -26,6 +28,21 @@ fn config() -> DirectorySimConfig {
     DirectorySimConfig {
         nodes: NODES,
         ..DirectorySimConfig::default()
+    }
+}
+
+/// The finite caches the lockstep suite steps through, as
+/// `(sets, ways)`: one line, one set of four ways, where LRU order picks
+/// every victim, and two sets of two ways.
+const FINITE: [(u64, u32); 3] = [(1, 1), (1, 4), (2, 2)];
+
+/// [`config`] with `sets` sets of `ways` ways per node.
+fn finite_config(sets: u64, ways: u32) -> DirectorySimConfig {
+    let bytes = sets * u64::from(ways) * 16;
+    let geometry = CacheGeometry::new(bytes, BlockSize::B16, ways).expect("a valid geometry");
+    DirectorySimConfig {
+        cache: CacheConfig::Finite(geometry),
+        ..config()
     }
 }
 
@@ -58,12 +75,12 @@ fn parity_trace(seed: u64, len: usize) -> Trace {
 }
 
 fn engine_pair(
+    cfg: &DirectorySimConfig,
     protocol: Protocol,
     faults: Option<FaultPlan>,
 ) -> ((AnyEngine, SharedBuffer), (AnyEngine, SharedBuffer)) {
     let build = |kind: EngineKind| {
-        let mut engine =
-            AnyEngine::new(kind, protocol, &config(), PagePlacement::round_robin(NODES));
+        let mut engine = AnyEngine::new(kind, protocol, cfg, PagePlacement::round_robin(NODES));
         if let Some(plan) = faults {
             engine = engine.with_faults(plan);
         }
@@ -83,11 +100,24 @@ fn drain(buffer: &SharedBuffer) -> Vec<Event> {
     std::mem::take(&mut *lock_sink(buffer)).into_events()
 }
 
-/// Steps both engines in lockstep over `trace`, comparing everything
-/// observable after every reference. Returns early (comparing the
-/// errors) if both engines reject a step.
-fn lockstep(protocol: Protocol, faults: Option<FaultPlan>, trace: &Trace, label: &str) {
-    let ((mut reference, ref_events), (mut fast, fast_events)) = engine_pair(protocol, faults);
+/// How often the lockstep suite compares whole snapshots: each step
+/// compares the referenced block, and a finite cache's eviction changes
+/// another one.
+const SNAPSHOT_EVERY: usize = 32;
+
+/// Steps both engines on `cfg`'s machine in lockstep over `trace`,
+/// comparing everything observable about the referenced block after
+/// every reference, and whole snapshots every [`SNAPSHOT_EVERY`] steps.
+/// Returns the final result, or `None` early (comparing the errors) if
+/// both engines reject a step.
+fn lockstep(
+    cfg: &DirectorySimConfig,
+    protocol: Protocol,
+    faults: Option<FaultPlan>,
+    trace: &Trace,
+    label: &str,
+) -> Option<SimResult> {
+    let ((mut reference, ref_events), (mut fast, fast_events)) = engine_pair(cfg, protocol, faults);
     for (i, r) in trace.iter().enumerate() {
         let want = reference.try_step(*r);
         let got = fast.try_step(*r);
@@ -139,7 +169,14 @@ fn lockstep(protocol: Protocol, faults: Option<FaultPlan>, trace: &Trace, label:
         if want.is_err() {
             // Both errored identically; state after an error is
             // implementation-defined (failed runs are discarded).
-            return;
+            return None;
+        }
+        if i % SNAPSHOT_EVERY == SNAPSHOT_EVERY - 1 {
+            assert_eq!(
+                reference.snapshot(),
+                fast.snapshot(),
+                "{label} step {i}: snapshots diverged"
+            );
         }
     }
     // The reference engine's within-node line order is HashMap
@@ -156,18 +193,42 @@ fn lockstep(protocol: Protocol, faults: Option<FaultPlan>, trace: &Trace, label:
     );
     reference.verify().expect("reference invariants");
     fast.verify().expect("fast invariants");
-    assert_eq!(
-        reference.finish(),
-        fast.finish(),
-        "{label}: final results diverged"
-    );
+    let result = reference.finish();
+    assert_eq!(result, fast.finish(), "{label}: final results diverged");
+    Some(result)
 }
 
 #[test]
 fn lockstep_parity_across_all_protocol_points() {
     let trace = parity_trace(0x9a17_1e57, 600);
     for protocol in protocol_points() {
-        lockstep(protocol, None, &trace, &format!("{protocol} clean"));
+        lockstep(
+            &config(),
+            protocol,
+            None,
+            &trace,
+            &format!("{protocol} clean"),
+        );
+    }
+}
+
+#[test]
+fn lockstep_parity_through_finite_caches() {
+    // Eight blocks through at most four lines per node: most misses
+    // evict, clean and dirty, so every eviction path runs, faulted and
+    // fault-free.
+    let trace = parity_trace(0xf1_417e_ca5e, 600);
+    for (sets, ways) in FINITE {
+        let cfg = finite_config(sets, ways);
+        for protocol in protocol_points() {
+            for faults in [None, Some(FaultPlan::uniform(11, 40_000))] {
+                let label = format!("{protocol} {sets}x{ways} faults={}", faults.is_some());
+                let result = lockstep(&cfg, protocol, faults, &trace, &label)
+                    .unwrap_or_else(|| panic!("{label}: both engines failed"));
+                assert!(result.events.writebacks > 0, "{label}: no write-back");
+                assert!(result.events.clean_drops > 0, "{label}: no clean drop");
+            }
+        }
     }
 }
 
@@ -181,6 +242,7 @@ fn lockstep_parity_under_injected_faults() {
     for protocol in protocol_points() {
         for (seed, ppm) in [(11, 40_000), (23, 120_000), (99, 450_000)] {
             lockstep(
+                &config(),
                 protocol,
                 Some(FaultPlan::uniform(seed, ppm)),
                 &trace,
@@ -313,7 +375,13 @@ fn read_and_write_only_traces_stay_in_parity() {
                 let node = NodeId::new((i % u64::from(NODES)) as u16);
                 t.push(MemRef::new(node, op, Addr::new((i % BLOCKS) * 16)));
             }
-            lockstep(protocol, None, &t, &format!("{protocol} {op:?}-only"));
+            lockstep(
+                &config(),
+                protocol,
+                None,
+                &t,
+                &format!("{protocol} {op:?}-only"),
+            );
         }
     }
 }

@@ -68,9 +68,7 @@ fn first_violation(config: &CheckerConfig, refs: &[MemRef], full: bool) -> Optio
 /// Every configuration the two modes are compared under: all nine
 /// protocol points, both engines, the four directory representations,
 /// and infinite caches, one two-line set, or two two-line sets, where a
-/// miss's eviction candidates are only the blocks of its own set
-/// (finite caches run on the reference engine whichever engine is asked
-/// for).
+/// miss's eviction candidates are only the blocks of its own set.
 fn configs() -> Vec<CheckerConfig> {
     let two_ways = CacheGeometry::new(32, CHECK_BLOCK_SIZE, 2).expect("one set of two ways");
     let two_sets = CacheGeometry::new(64, CHECK_BLOCK_SIZE, 2).expect("two sets of two ways");
@@ -167,11 +165,11 @@ fn footprint_and_full_modes_agree_on_every_short_trace_over_two_blocks() {
     }
     const STATES: u64 = 8 + 64 + 512 + 4096 + 32768;
     let one_line = CacheGeometry::new(16, CHECK_BLOCK_SIZE, 1).expect("one set of one way");
-    // A finite cache runs on the reference engine whichever is asked for.
     let machines = [
         (CacheConfig::Infinite, false),
         (CacheConfig::Infinite, true),
         (CacheConfig::Finite(one_line), false),
+        (CacheConfig::Finite(one_line), true),
     ];
     let mut cut_short = 0;
     for protocol in protocol_points() {

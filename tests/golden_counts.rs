@@ -1,6 +1,7 @@
 //! Golden regression numbers: exact message totals at a pinned
 //! configuration (16 nodes, 16 B blocks, infinite caches, profiled
-//! placement, scale 0.1, seed 42).
+//! placement, scale 0.1, seed 42), and at the same configuration
+//! through the paper's 4 KB 4-way caches.
 //!
 //! Everything in the pipeline is deterministic, so any drift here means
 //! the workload generators or a protocol changed behaviour. After an
@@ -8,12 +9,13 @@
 //! `cargo run --release -p mcc-bench --bin golden_dump` and update the
 //! table.
 
+use mcc::cache::{CacheConfig, CacheGeometry};
 use mcc::core::{
     DirectoryRepr, DirectorySim, DirectorySimConfig, EngineKind, Protocol, RunSpec, SimError,
     SimResult,
 };
 use mcc::obs::SharedSink;
-use mcc::trace::Trace;
+use mcc::trace::{BlockSize, Trace};
 use mcc::workloads::{Workload, WorkloadParams};
 
 /// Directory representation the goldens run under: `MCC_TEST_REPR`
@@ -222,6 +224,80 @@ fn golden_table(repr: DirectoryRepr) -> &'static [GoldenRow] {
             "no golden table pinned for {other}; add one via \
              `golden_dump --directory {other}` or run a pinned slug"
         ),
+    }
+}
+
+/// The full map through the paper's 4 KB 4-way caches (`golden_dump`
+/// prints this table last), where most misses evict: the write-back,
+/// drop-notification and uncached-interval paths the infinite tables
+/// never run. Pinned from the reference engine.
+const FINITE_GOLDEN: &[GoldenRow] = &[
+    (
+        Workload::Cholesky,
+        1_815_680,
+        2_402_500,
+        2_395_588,
+        2_395_395,
+        2_389_859,
+    ),
+    (
+        Workload::LocusRoute,
+        383_616,
+        570_772,
+        518_815,
+        513_390,
+        489_971,
+    ),
+    (
+        Workload::Mp3d,
+        2_067_716,
+        3_051_060,
+        2_155_943,
+        2_077_830,
+        1_949_594,
+    ),
+    (
+        Workload::Pthor,
+        891_840,
+        2_596_306,
+        2_381_611,
+        2_339_409,
+        2_306_463,
+    ),
+    (
+        Workload::Water,
+        1_331_840,
+        1_729_789,
+        1_375_587,
+        1_350_715,
+        1_309_439,
+    ),
+];
+
+#[test]
+fn pinned_message_totals_through_finite_caches() {
+    let geometry =
+        CacheGeometry::paper_default(4 * 1024, BlockSize::B16).expect("the paper's 4 KB cache");
+    let cfg = DirectorySimConfig {
+        cache: CacheConfig::Finite(geometry),
+        ..DirectorySimConfig::default()
+    };
+    let params = WorkloadParams::new(16).scale(0.1).seed(42);
+    for &(app, refs, conv, cons, basic, aggr) in FINITE_GOLDEN {
+        let trace = app.generate(&params);
+        assert_eq!(trace.len(), refs, "{app}: trace length drifted");
+        let expected = [conv, cons, basic, aggr];
+        for (protocol, want) in Protocol::PAPER_SET.into_iter().zip(expected) {
+            let sim = DirectorySim::new(protocol, &cfg).with_engine(test_engine());
+            let got = sim.try_run(&trace).expect("monitored finite-cache run");
+            assert_eq!(
+                got.total_messages(),
+                want,
+                "{app}/{protocol} through 4 KB caches: total messages drifted (update via \
+                 golden_dump if the change was intentional)"
+            );
+            assert!(got.events.writebacks > 0, "{app}/{protocol}: no write-back");
+        }
     }
 }
 

@@ -6,6 +6,7 @@
 
 use std::path::PathBuf;
 
+use mcc::cache::{CacheConfig, CacheGeometry};
 use mcc::core::{
     Checkpoint, CheckpointPolicy, DirectorySim, DirectorySimConfig, EngineKind, FaultPlan,
     Protocol, RunSpec, SimError, SimResult,
@@ -253,32 +254,42 @@ fn bench_router_runs_checkpointed_and_resumes() {
 fn checkpoints_cross_engines_bit_exactly() {
     // Snapshots carry no engine identity: a checkpoint captured under
     // one engine must resume under the other to the identical final
-    // result, in both directions, at several boundaries.
+    // result, in both directions, at several boundaries, with infinite
+    // caches and through one four-way set per node, whose snapshot
+    // carries the LRU order the next eviction follows.
     let trace = small_trace(4);
-    let cfg = DirectorySimConfig {
-        nodes: 4,
-        ..DirectorySimConfig::default()
-    };
-    for protocol in Protocol::PAPER_SET {
-        let reference = DirectorySim::new(protocol, &cfg).with_engine(EngineKind::Reference);
-        let fast = DirectorySim::new(protocol, &cfg).with_engine(EngineKind::Fast);
-        let straight = reference.try_run(&trace).expect("reference run");
-        assert_eq!(
-            straight,
-            fast.try_run(&trace).expect("fast run"),
-            "{protocol}: engines disagree before any checkpointing"
-        );
-        for cut in [0u64, 1, 7, trace.len() as u64 / 2, trace.len() as u64] {
-            for (capture, resumer) in [(&reference, &fast), (&fast, &reference)] {
-                let ck = capture.checkpoint_after(&trace, 1, cut).expect("prefix");
-                let resumed = resume(resumer, &trace, &ck, None).expect("resume");
-                assert_eq!(
-                    resumed,
-                    straight,
-                    "{protocol} cut {cut}: checkpoint under {:?} did not resume under {:?}",
-                    capture.engine_kind(),
-                    resumer.engine_kind(),
-                );
+    let four_ways = CacheGeometry::new(64, mcc::trace::BlockSize::B16, 4).expect("one set");
+    for cache in [CacheConfig::Infinite, CacheConfig::Finite(four_ways)] {
+        let cfg = DirectorySimConfig {
+            nodes: 4,
+            cache,
+            ..DirectorySimConfig::default()
+        };
+        for protocol in Protocol::PAPER_SET {
+            let reference = DirectorySim::new(protocol, &cfg).with_engine(EngineKind::Reference);
+            let fast = DirectorySim::new(protocol, &cfg).with_engine(EngineKind::Fast);
+            let straight = reference.try_run(&trace).expect("reference run");
+            assert_eq!(
+                straight,
+                fast.try_run(&trace).expect("fast run"),
+                "{protocol} {cache:?}: engines disagree before any checkpointing"
+            );
+            if cache != CacheConfig::Infinite {
+                assert!(straight.events.writebacks > 0, "{protocol}: no eviction");
+            }
+            for cut in [0u64, 1, 7, trace.len() as u64 / 2, trace.len() as u64] {
+                for (capture, resumer) in [(&reference, &fast), (&fast, &reference)] {
+                    let ck = capture.checkpoint_after(&trace, 1, cut).expect("prefix");
+                    let resumed = resume(resumer, &trace, &ck, None).expect("resume");
+                    assert_eq!(
+                        resumed,
+                        straight,
+                        "{protocol} {cache:?} cut {cut}: checkpoint under {:?} did not \
+                         resume under {:?}",
+                        capture.engine_kind(),
+                        resumer.engine_kind(),
+                    );
+                }
             }
         }
     }
